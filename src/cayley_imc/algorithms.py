@@ -14,8 +14,9 @@ disable their memories, repeat.  Each round retires one distinct value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
+from . import planes
 from .engine import (
     Configuration,
     ProtocolError,
@@ -39,6 +40,13 @@ __all__ = [
     "resource_report",
 ]
 
+if TYPE_CHECKING:
+    # Per-cycle observer: called with emissions None once at cycle 0, right
+    # after the reset, then with the per-node emissions after every cycle.
+    # Only type checkers build it: a subscripted Callable is cached inside
+    # typing and would keep this module's classes alive after a reload.
+    StepObserver = Callable[[Configuration, list[dict[str, int]] | None], None]
+
 
 @dataclass
 class LoadedTree:
@@ -46,7 +54,6 @@ class LoadedTree:
 
     cfg: Configuration
     occupied: frozenset[int]
-    padding_policy: Literal["search_neutral", "max_identity", "min_identity"]
 
 
 @dataclass(frozen=True)
@@ -70,13 +77,6 @@ class SortResult:
     per_round_cycles: list[int]
 
 
-_PADDING = {
-    Mode.SEARCH: "search_neutral",
-    Mode.MAX: "max_identity",
-    Mode.MIN: "min_identity",
-}
-
-
 def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
               *, key: int | None = None) -> LoadedTree:
     """Distribute ``elements`` over the non-root nodes and initialise flags.
@@ -86,7 +86,7 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
     nodes are permanently disabled with match pre-forced to 0, so a key
     that happens to equal the padding word can never produce a false hit.
     """
-    if mode not in _PADDING:
+    if mode not in (Mode.SEARCH, Mode.MAX, Mode.MIN):
         raise ValueError(f"cannot load a tree for mode {mode}")
     if topo.params.height < 2:
         raise ValueError("height-1 trees have no data slots")
@@ -125,16 +125,32 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
 
     cfg = Configuration(topo=topo, nodes=nodes, mode=mode)
     reset_configuration(cfg, mode)
-    return LoadedTree(cfg=cfg, occupied=occupied, padding_policy=_PADDING[mode])
+    return LoadedTree(cfg=cfg, occupied=occupied)
 
 
-def search(tree: LoadedTree, key: int, collect_matches: bool = False) -> SearchResult:
+def _run(cfg: Configuration, mode: Mode, on_step: StepObserver | None = None, *,
+         phase1_only: bool = False) -> int:
+    """Reset ``cfg`` for ``mode`` and run it to quiescence; return the cycles.
+
+    Without an observer the bit-plane engine runs the whole segment.  With
+    one, the object engine steps it so the observer sees every cycle.
+    """
+    budget = default_cycle_budget(cfg.topo)
+    if on_step is None:
+        return planes.run(cfg, mode, budget, phase1_only=phase1_only)
+    reset_configuration(cfg, mode, phase1_only=phase1_only)
+    on_step(cfg, None)
+    return run_until_quiescent(cfg, budget, on_step)[1]
+
+
+def search(tree: LoadedTree, key: int, collect_matches: bool = False,
+           on_step: StepObserver | None = None) -> SearchResult:
     """Run the full two-phase search; found means the root absorbed a 1.
 
     With ``collect_matches`` the result also carries every occupied node
     whose element equals the key, read from the match value each node held
     when its own comparison phase ended (the relay phase consumes the live
-    flags afterwards).
+    flags afterwards).  ``on_step`` observes every cycle of the run.
     """
     cfg = tree.cfg
     if cfg.mode is not Mode.SEARCH:
@@ -143,8 +159,7 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False) -> SearchR
     if not 0 <= key < (1 << w):
         raise ValueError(f"key {key} out of range [0, 2^{w})")
     cfg.root.word = BitWord(w, key)
-    reset_configuration(cfg, Mode.SEARCH)
-    _, cycles = run_until_quiescent(cfg, default_cycle_budget(cfg.topo))
+    cycles = _run(cfg, Mode.SEARCH, on_step)
     matched: frozenset[int] = frozenset()
     if collect_matches:
         matched = frozenset(
@@ -154,23 +169,23 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False) -> SearchR
                         matched_nodes=matched)
 
 
-def _run_extremum(tree: LoadedTree, mode: Mode) -> ExtremumResult:
+def _run_extremum(tree: LoadedTree, mode: Mode,
+                  on_step: StepObserver | None) -> ExtremumResult:
     cfg = tree.cfg
     if cfg.mode is not mode:
         raise ValueError(f"tree is loaded for {cfg.mode.value}, not {mode.value}")
-    reset_configuration(cfg, mode)
-    _, cycles = run_until_quiescent(cfg, default_cycle_budget(cfg.topo))
+    cycles = _run(cfg, mode, on_step)
     return ExtremumResult(value=cfg.root.word.value, cycles=cycles)
 
 
-def compute_max(tree: LoadedTree) -> ExtremumResult:
+def compute_max(tree: LoadedTree, on_step: StepObserver | None = None) -> ExtremumResult:
     """OR-tournament over all enabled words; 0 when nothing is enabled."""
-    return _run_extremum(tree, Mode.MAX)
+    return _run_extremum(tree, Mode.MAX, on_step)
 
 
-def compute_min(tree: LoadedTree) -> ExtremumResult:
+def compute_min(tree: LoadedTree, on_step: StepObserver | None = None) -> ExtremumResult:
     """AND-tournament over all enabled words; all-ones when nothing is enabled."""
-    return _run_extremum(tree, Mode.MIN)
+    return _run_extremum(tree, Mode.MIN, on_step)
 
 
 def sort(topo: CayleyTopology, elements: Sequence[int],
@@ -197,17 +212,14 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     for i in range(len(elements) + 1, topo.n):
         cfg.nodes[i].flags.perm_disabled = 1
 
-    budget = default_cycle_budget(topo)
     output: list[int] = []
     per_round: list[int] = []
     live = set(tree.occupied)
     while live:
-        reset_configuration(cfg, mode)
-        _, cycles_a = run_until_quiescent(cfg, budget)
+        cycles_a = _run(cfg, mode)
         value = cfg.root.word.value
 
-        reset_configuration(cfg, Mode.SEARCH, phase1_only=True)
-        _, cycles_b = run_until_quiescent(cfg, budget)
+        cycles_b = _run(cfg, Mode.SEARCH, phase1_only=True)
 
         matched = [i for i in live if cfg.nodes[i].flags.match == 1]
         if not matched:

@@ -12,6 +12,7 @@ Exit status: 0 on success, 2 when the simulator and the oracle disagree,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -20,8 +21,9 @@ import time
 from typing import Sequence
 
 from . import algorithms, engine, oracle
-from .node import BitWord, Mode
+from .node import Mode
 from .topology import TreeParams, build_topology, node_count, required_height
+from .tracefile import configuration_from_events, parse_trace, trace_header
 
 __all__ = ["main", "parse_input"]
 
@@ -100,19 +102,23 @@ def _print_block(pairs: list[tuple[str, object]], as_json: bool) -> None:
             print(f"{k}: {v}")
 
 
-def _open_trace(path: str, cfg: engine.Configuration):
-    fh = open(path, "w", encoding="utf-8")
+def _call_traced(run, path: str | None):
+    """Call ``run``, recording its trace to ``path`` when one is given.
 
-    def begin_segment() -> None:
-        fh.write(engine.trace_header(cfg) + "\n")
-        for ev in engine.snapshot(cfg):
-            fh.write(ev.to_json() + "\n")
+    The trace is one segment: the header and the cycle-0 snapshot, then
+    one snapshot per cycle.
+    """
+    if path is None:
+        return run()
+    with open(path, "w", encoding="utf-8") as fh:
+        def on_step(cfg: engine.Configuration,
+                    emissions: list[dict[str, int]] | None) -> None:
+            if emissions is None:
+                fh.write(trace_header(cfg) + "\n")
+            for ev in engine.snapshot(cfg, emissions):
+                fh.write(ev.to_json() + "\n")
 
-    def on_step(c: engine.Configuration, emissions: list[dict[str, int]]) -> None:
-        for ev in engine.snapshot(c, emissions):
-            fh.write(ev.to_json() + "\n")
-
-    return fh, begin_segment, on_step
+        return run(on_step=on_step)
 
 
 def _run_scheme(args: argparse.Namespace) -> int:
@@ -135,40 +141,31 @@ def _run_scheme(args: argparse.Namespace) -> int:
         ("elements", len(elements)),
     ]
 
-    trace_ctx = None
     expected: object
     if command == "search":
         key = args.key
         if not 0 <= key < limit:
             raise InputError(f"--key {key} does not fit in a {args.word_size}-bit word")
         tree = algorithms.load_list(topo, elements, Mode.SEARCH, key=key)
-        if args.trace_out:
-            trace_ctx = _trace_run_search(tree, key, args.trace_out)
-            result, cycles = trace_ctx
-        else:
-            res = algorithms.search(tree, key)
-            result, cycles = res.found, res.cycles
+        res = _call_traced(functools.partial(algorithms.search, tree, key),
+                           args.trace_out)
         pairs += [
             ("key", key),
-            ("found", "yes" if result else "no"),
-            ("cycles", cycles),
+            ("found", "yes" if res.found else "no"),
+            ("cycles", res.cycles),
             ("overhead_bits", algorithms.resource_report(params, "search")),
         ]
         expected = oracle.oracle_search(elements, key)
-        actual: object = result
+        actual: object = res.found
     elif command in ("max", "min"):
         mode = Mode.MAX if command == "max" else Mode.MIN
         tree = algorithms.load_list(topo, elements, mode)
-        if args.trace_out:
-            value, cycles = _trace_run_extremum(tree, mode, args.trace_out)
-        else:
-            res = algorithms.compute_max(tree) if mode is Mode.MAX \
-                else algorithms.compute_min(tree)
-            value, cycles = res.value, res.cycles
-        pairs += [("value", value), ("cycles", cycles)]
+        run = algorithms.compute_max if mode is Mode.MAX else algorithms.compute_min
+        res = _call_traced(functools.partial(run, tree), args.trace_out)
+        pairs += [("value", res.value), ("cycles", res.cycles)]
         identity = 0 if mode is Mode.MAX else limit - 1
         expected = oracle.oracle_extremum(elements, command, identity)
-        actual = value
+        actual = res.value
     else:  # sort
         if args.trace_out:
             raise InputError("--trace-out supports single runs: search, max, min")
@@ -199,33 +196,6 @@ def _run_scheme(args: argparse.Namespace) -> int:
     return status
 
 
-def _trace_run_search(tree, key, path):
-    cfg = tree.cfg
-    cfg.root.word = BitWord(cfg.topo.params.word_size, key)
-    engine.reset_configuration(cfg, Mode.SEARCH)
-    fh, begin, on_step = _open_trace(path, cfg)
-    try:
-        begin()
-        _, cycles = engine.run_until_quiescent(
-            cfg, engine.default_cycle_budget(cfg.topo), on_step)
-    finally:
-        fh.close()
-    return cfg.root.flags.state, cycles
-
-
-def _trace_run_extremum(tree, mode, path):
-    cfg = tree.cfg
-    engine.reset_configuration(cfg, mode)
-    fh, begin, on_step = _open_trace(path, cfg)
-    try:
-        begin()
-        _, cycles = engine.run_until_quiescent(
-            cfg, engine.default_cycle_budget(cfg.topo), on_step)
-    finally:
-        fh.close()
-    return cfg.root.word.value, cycles
-
-
 def _run_info(args: argparse.Namespace) -> int:
     height = args.height
     n_elements = None
@@ -235,19 +205,20 @@ def _run_info(args: argparse.Namespace) -> int:
     elif height is None:
         raise InputError("info needs --height or an input list")
     params = TreeParams(args.eta, height, args.word_size)
-    topo = build_topology(params)
-    depth_counts: dict[int, int] = {}
-    for d in topo.depth_of:
-        depth_counts[d] = depth_counts.get(d, 0) + 1
+    n = node_count(params.eta, params.height)
+    # Level sizes 1, eta+1, (eta+1)*eta, ...; the leaves are the last level
+    # of any tree with more than the root.
+    per_level = [1] + [(params.eta + 1) * params.eta ** (d - 1)
+                       for d in range(1, params.height)]
     pairs: list[tuple[str, object]] = [
         ("command", "info"),
         ("eta", params.eta),
         ("height", params.height),
         ("word_size", params.word_size),
-        ("n", topo.n),
-        ("slots", topo.n - 1),
-        ("leaves", len(topo.leaves)),
-        ("nodes_per_level", ",".join(str(depth_counts[d]) for d in sorted(depth_counts))),
+        ("n", n),
+        ("slots", n - 1),
+        ("leaves", per_level[-1] if params.height > 1 else 0),
+        ("nodes_per_level", ",".join(map(str, per_level))),
         ("search_overhead_bits", algorithms.resource_report(params, "search")),
         ("sort_overhead_bits", algorithms.resource_report(params, "sort")),
     ]
@@ -260,12 +231,12 @@ def _run_info(args: argparse.Namespace) -> int:
 def _run_trace_verify(args: argparse.Namespace) -> int:
     """Replay each trace segment from its cycle-0 snapshot and compare."""
     with open(args.trace_file, "r", encoding="utf-8") as fh:
-        segments = engine.parse_trace(fh)
+        segments = parse_trace(fh)
     if not segments:
         raise InputError(f"{args.trace_file}: no trace segments found")
     total = 0
     for seg_idx, (meta, events) in enumerate(segments):
-        cfg = engine.configuration_from_events(meta, events)
+        cfg = configuration_from_events(meta, events)
         replayed = [e.to_json() for e in engine.snapshot(cfg)]
         budget = engine.default_cycle_budget(cfg.topo)
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .node import (
-    BitWord,
     Combine,
     Mode,
     NodeState,
@@ -41,9 +40,6 @@ __all__ = [
     "reset_configuration",
     "snapshot",
     "default_cycle_budget",
-    "trace_header",
-    "parse_trace",
-    "configuration_from_events",
 ]
 
 
@@ -81,8 +77,7 @@ class Configuration:
         return self.nodes[0]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One node's externally visible state at the end of one cycle."""
 
     cycle: int
@@ -245,10 +240,14 @@ def run_until_quiescent(
         if _quiescent(cfg):
             _validate_quiescent(cfg)
             return cfg, cfg.global_cycle - start
-    raise QuiescenceError(
+    raise _budget_exhausted(cfg, max_cycles)
+
+
+def _budget_exhausted(cfg: Configuration, max_cycles: int) -> QuiescenceError:
+    p = cfg.topo.params
+    return QuiescenceError(
         f"{cfg.mode.value} run not quiescent after {max_cycles} cycles "
-        f"(eta={cfg.topo.params.eta}, h={cfg.topo.params.height}, "
-        f"w={cfg.topo.params.word_size})"
+        f"(eta={p.eta}, h={p.height}, w={p.word_size})"
     )
 
 
@@ -277,81 +276,3 @@ def snapshot(cfg: Configuration,
             emitted=dict(emissions[n.id]) if emissions is not None else {},
         ))
     return events
-
-
-# --- trace stream serialisation -------------------------------------------
-#
-# A trace file is a stream of one-line JSON TraceEvents.  Each run segment
-# is preceded by a '#'-prefixed header recording the run parameters, which
-# event consumers skip and the replayer uses to rebuild the configuration.
-
-_HEADER_PREFIX = "# cayley-imc-trace "
-
-
-def trace_header(cfg: Configuration) -> str:
-    p = cfg.topo.params
-    meta = {
-        "eta": p.eta,
-        "height": p.height,
-        "word_size": p.word_size,
-        "mode": cfg.mode.value,
-        "phase1_only": cfg.phase1_only,
-    }
-    return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
-
-
-def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
-    """Split a trace stream into (header meta, event dict) segments."""
-    segments: list[tuple[dict, list[dict]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(_HEADER_PREFIX):
-            segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
-            continue
-        if line.startswith("#"):
-            continue
-        if not segments:
-            raise ValueError(f"trace line {lineno}: event before any segment header")
-        segments[-1][1].append(json.loads(line))
-    return segments
-
-
-def configuration_from_events(meta: dict, events: list[dict],
-                              topo: CayleyTopology | None = None) -> Configuration:
-    """Rebuild a fresh (cycle 0) configuration from a trace segment."""
-    from .topology import TreeParams, build_topology  # cycle-free local import
-
-    if topo is None:
-        topo = build_topology(TreeParams(meta["eta"], meta["height"], meta["word_size"]))
-    initial = [e for e in events if e["cycle"] == 0]
-    if len(initial) != topo.n:
-        raise ValueError(
-            f"trace segment has {len(initial)} cycle-0 events, topology needs {topo.n}"
-        )
-    from .node import make_node
-
-    w = topo.params.word_size
-    mode = Mode(meta["mode"])
-    nodes: list[NodeState] = [None] * topo.n  # type: ignore[list-item]
-    for e in initial:
-        n = make_node(topo, e["node"], BitWord(w, e["word"]))
-        f = n.flags
-        f.state = e["state"]
-        f.start = e["start"]
-        f.match = e["match"]
-        f.link_mem = e["l_m"]
-        f.link_child[:] = e["l_children"]
-        f.perm_disabled = e["perm_disabled"]
-        n.neutral = 1 if mode is Mode.MIN else 0
-        nodes[e["node"]] = n
-    if any(n is None for n in nodes):
-        raise ValueError("trace segment is missing cycle-0 events for some nodes")
-    return Configuration(
-        topo=topo,
-        nodes=nodes,
-        mode=mode,
-        global_cycle=0,
-        phase1_only=bool(meta.get("phase1_only", False)),
-    )

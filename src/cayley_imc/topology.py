@@ -56,7 +56,8 @@ def node_count(eta: int, height: int) -> int:
     """Total number of nodes in a finite Cayley tree of the given shape.
 
     A height-1 tree is the bare root.  Otherwise the root's eta+1 subtrees
-    each contribute a geometric level series of order eta.
+    each contribute a geometric level series of order eta, which has a
+    closed form, so the cost does not grow with the height.
 
     Raises OverflowError once the count exceeds the 64-bit platform limit.
     """
@@ -64,17 +65,15 @@ def node_count(eta: int, height: int) -> int:
         raise ValueError(f"eta must be >= 1, got {eta}")
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    if height == 1:
-        return 1
-    total = 1
-    level = eta + 1
-    for _ in range(height - 1):
-        total += level
-        if total > _MAX_NODES:
-            raise OverflowError(
-                f"node count for eta={eta}, height={height} exceeds 2^63-1"
-            )
-        level *= eta
+    if eta == 1:
+        total = 2 * height - 1
+    elif (height - 1) * (eta.bit_length() - 1) >= 63:
+        # eta^(h-1) >= 2^63 already; refuse before computing a huge power.
+        total = _MAX_NODES + 1
+    else:
+        total = 1 + (eta + 1) * (eta ** (height - 1) - 1) // (eta - 1)
+    if total > _MAX_NODES:
+        raise OverflowError(f"node count for eta={eta}, height={height} exceeds 2^63-1")
     return total
 
 

@@ -61,3 +61,19 @@ def random_elements(rng: random.Random, n_slots: int, word_size: int,
         els[1] = limit - 1
         return els
     return [rng.randrange(limit) for _ in range(m)]
+
+
+def full_state(cfg) -> tuple:
+    """Every field of every NodeState, inbox included, plus the run header."""
+    rows = []
+    for nd in cfg.nodes:
+        f, ib = nd.flags, nd.inbox
+        rows.append((
+            nd.id, nd.word.width, nd.word.value,
+            f.state, f.start, f.match, f.link_mem, tuple(f.link_child),
+            f.link_parent, f.perm_disabled,
+            nd.local_clock, nd.acted, nd.neutral, nd.writes, nd.listen_steps,
+            nd.shifts, nd.phase1_match,
+            ib.parent, tuple(ib.children), ib.child_count,
+        ))
+    return (cfg.mode, cfg.global_cycle, cfg.phase1_only, tuple(rows))

@@ -6,6 +6,7 @@ import pytest
 
 from cayley_imc import cli
 from cayley_imc.cli import InputError, main, parse_input
+from cayley_imc.topology import TreeParams, build_topology
 
 
 class TestParseInput:
@@ -145,6 +146,27 @@ class TestSchemeCommands:
 
 
 class TestInfo:
+    def test_info_is_arithmetic(self, capsys, monkeypatch):
+        expected = {}
+        for eta in (1, 2, 3):
+            for height in range(1, 6):
+                topo = build_topology(TreeParams(eta, height, 8))
+                per_level = [topo.depth_of.count(d) for d in range(height)]
+                expected[eta, height] = (topo.n, len(topo.leaves), per_level)
+
+        def no_build(params):
+            raise AssertionError("info must not build the topology")
+
+        monkeypatch.setattr(cli, "build_topology", no_build)
+        for (eta, height), (n, leaves, per_level) in expected.items():
+            status, out, _ = run_cli(
+                capsys, "info", "--eta", str(eta), "--height", str(height), "--json")
+            assert status == 0
+            block = json.loads(out)
+            assert block["n"] == n and block["slots"] == n - 1
+            assert block["leaves"] == leaves
+            assert block["nodes_per_level"] == ",".join(map(str, per_level))
+
     def test_info_block(self, capsys):
         status, out, _ = run_cli(
             capsys, "info", "--eta", "2", "--height", "3", "--word-size", "4")
@@ -219,6 +241,67 @@ class TestTrace:
     def test_missing_file(self, capsys):
         status, _, err = run_cli(capsys, "trace", "/nonexistent/file.trace")
         assert status == 1
+
+    def _rejected(self, capsys, path, needle):
+        status, out, err = run_cli(capsys, "trace", str(path))
+        assert status == 1
+        assert out == ""
+        assert err.count("\n") == 1 and needle in err, err
+
+    def test_header_missing_fields_rejected(self, capsys, tmp_path):
+        path = tmp_path / "header.trace"
+        path.write_text('# cayley-imc-trace {"height":3}\n')
+        self._rejected(capsys, path, "'eta'")
+
+    def test_event_without_word_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "search", "--list", "1,2,3", "--word-size", "4",
+                "--key", "2", "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        events = [json.loads(line) for line in lines[1:]]
+        for e in events:
+            if e["cycle"] == 0:
+                del e["word"]
+        path.write_text("\n".join([lines[0]] + [json.dumps(e) for e in events]) + "\n")
+        self._rejected(capsys, path, "'word'")
+
+    def test_deeply_nested_event_rejected(self, capsys, tmp_path):
+        path = tmp_path / "deep.trace"
+        header = '# cayley-imc-trace {"eta":2,"height":2,"word_size":4,"mode":"max"}'
+        path.write_text(header + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        self._rejected(capsys, path, "line 2")
+
+    @pytest.mark.parametrize("header,edit,needle", [
+        ({"mode": "idle"}, None, "'mode'"),
+        ({"eta": "2"}, None, "'eta'"),
+        ({"height": 0}, None, "'height'"),
+        ({"phase1_only": 1}, None, "'phase1_only'"),
+        # a huge tree is refused by its node count, before anything is built
+        ({"height": 60}, None, "cycle-0 events"),
+        (None, {"node": 99}, "no such node"),
+        (None, {"node": 2}, "twice"),
+        (None, {"word": 16}, "out of range"),
+        (None, {"l_children": [0]}, "'l_children'"),
+        (None, {"match": 2}, "0 or 1"),
+        (None, {"state": None}, "'state'"),
+    ])
+    def test_bad_header_or_cycle0_event_rejected(self, capsys, tmp_path,
+                                                  header, edit, needle):
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "max", "--list", "1,2,3", "--word-size", "4",
+                "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        prefix = "# cayley-imc-trace "
+        if header is not None:
+            meta = json.loads(lines[0][len(prefix):])
+            meta.update(header)
+            lines[0] = prefix + json.dumps(meta)
+        if edit is not None:
+            event = json.loads(lines[2])  # node 1, a leaf, at cycle 0
+            event.update(edit)
+            lines[2] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n")
+        self._rejected(capsys, path, needle)
 
 
 class TestBench:

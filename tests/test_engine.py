@@ -9,16 +9,14 @@ from cayley_imc.algorithms import load_list
 from cayley_imc.engine import (
     ProtocolError,
     QuiescenceError,
-    configuration_from_events,
     default_cycle_budget,
-    parse_trace,
     reset_configuration,
     run_until_quiescent,
     snapshot,
     step,
-    trace_header,
 )
 from cayley_imc.node import Mode
+from cayley_imc.tracefile import configuration_from_events, parse_trace, trace_header
 
 from conftest import cached_topology
 
