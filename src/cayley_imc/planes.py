@@ -127,7 +127,6 @@ class PlaneRun:
         self.cfg, self.mode, self.phase1_only = cfg, mode, phase1_only
         self.w = p.word_size
         self.cycle = 0
-        self.step = self._step_search if mode is Mode.SEARCH else self._step_max
         layout = _layout(p.eta, p.height)
         last = len(layout) - 1
         self.levels = levels = []
@@ -142,6 +141,18 @@ class PlaneRun:
                 lv.state = lv.mask * lv.start
                 lv.match = lv.mask
             levels.append(lv)
+
+    def step(self) -> None:
+        """Advance one global cycle.
+
+        Dispatching here, instead of keeping a bound method on the instance,
+        leaves the run free of reference cycles, so reference counting frees
+        it, and the configuration it points to, as soon as it ends.
+        """
+        if self.mode is Mode.SEARCH:
+            self._step_search()
+        else:
+            self._step_max()
 
     def _step_search(self) -> None:
         """receive_search then send_search, for every level."""

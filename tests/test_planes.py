@@ -7,12 +7,13 @@ the trace snapshot lines after every cycle, then the results and final
 states of whole runs through the library entry points.
 """
 
+import gc
 import random
 
 import pytest
 
 from cayley_imc import planes
-from cayley_imc.algorithms import compute_max, compute_min, load_list, search
+from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
 from cayley_imc.engine import (
     QuiescenceError,
     _quiescent,
@@ -151,3 +152,22 @@ def test_budget_exhaustion_leaves_the_object_engine_state(topo_2_3_4):
     assert full_state(pl) == full_state(obj)
     with pytest.raises(ValueError):
         planes.run(pl, Mode.SEARCH, 0)
+
+
+def test_runs_leave_no_reference_cycles(topo_2_3_4):
+    """A finished run is freed by reference counting alone.  A cycle would
+    keep the run's planes and node lists alive until the cyclic collector
+    ran, and that collection would land inside some later run."""
+    els = [3, 1, 2, 3, 0]
+    gc.collect()
+    gc.disable()
+    try:
+        tree = load_list(topo_2_3_4, els, Mode.SEARCH, key=0)
+        search(tree, 3)
+        search(tree, 5)
+        compute_max(load_list(topo_2_3_4, els, Mode.MAX))
+        compute_min(load_list(topo_2_3_4, els, Mode.MIN))
+        sort(topo_2_3_4, els)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
