@@ -1,5 +1,6 @@
 """Command-line surface: parsing, result blocks, traces, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -215,6 +216,26 @@ class TestTrace:
         status, out, _ = run_cli(capsys, "trace", str(path))
         assert status == 0
         assert "replay matches" in out
+
+    # SHA-256 of whole trace files.  The planes-vs-object gate and replay
+    # both pass if the transition rules and the trace format change
+    # together; these pin the bytes themselves.
+    @pytest.mark.parametrize("argv,size,digest", [
+        (("search", "--list", "14,9,6,10,14,7,11,11,10", "--word-size", "4",
+          "--key", "9"), 16_469,
+         "34714dc4c1008e955ae13b608b6653f59618c8edc8d0123baf69fae9fcdde46f"),
+        (("max", "--list", "14,9,5,14,7,11,10,10", "--word-size", "4"), 12_001,
+         "5500061cfa6765f15c0e0f331abd03bd3527e77d7bac0e02c18f8819c5822167"),
+        (("min", "--eta", "3", "--seed", "5", "--count", "40", "--word-size", "8"),
+         105_163,
+         "4a21a6cbbf00a3e902ebc32e4e1153780feca994e2db3aa680d7f30bfff1c863"),
+    ])
+    def test_trace_bytes_are_pinned(self, capsys, tmp_path, argv, size, digest):
+        path = tmp_path / "run.trace"
+        status, _, _ = run_cli(capsys, *argv, "--trace-out", str(path))
+        assert status == 0
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
     def test_sort_trace_unsupported(self, capsys, tmp_path):
         status, _, err = run_cli(
