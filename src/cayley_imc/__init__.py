@@ -27,7 +27,7 @@ from .engine import (
     snapshot,
     step,
 )
-from .node import BitWord, Combine, Mode, NodeFlags, NodeState, circular_left_shift
+from .node import BitWord, Mode, NodeFlags, NodeState, circular_left_shift
 from .topology import (
     CayleyTopology,
     Role,
@@ -40,7 +40,6 @@ from .topology import (
 __all__ = [
     "BitWord",
     "CayleyTopology",
-    "Combine",
     "Configuration",
     "ExtremumResult",
     "LoadedTree",

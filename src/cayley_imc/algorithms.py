@@ -189,7 +189,8 @@ def compute_min(tree: LoadedTree, on_step: StepObserver | None = None) -> Extrem
 
 
 def sort(topo: CayleyTopology, elements: Sequence[int],
-         order: Literal["desc", "asc"] = "desc") -> SortResult:
+         order: Literal["desc", "asc"] = "desc",
+         on_step: StepObserver | None = None) -> SortResult:
     """Sort by repeated extremum extraction, descending by default.
 
     Each round: run the tournament (the root ends up holding the current
@@ -197,7 +198,8 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     run the comparison phase only, then permanently disable every occupied
     node whose match survived and append the value once per such node.
     Rounds repeat until every occupied node is retired, so the round count
-    equals the number of distinct values.
+    equals the number of distinct values.  ``on_step`` observes every cycle
+    of both runs of every round; an empty list runs nothing.
     """
     if order not in ("desc", "asc"):
         raise ValueError(f"order must be 'desc' or 'asc', got {order!r}")
@@ -216,10 +218,10 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     per_round: list[int] = []
     live = set(tree.occupied)
     while live:
-        cycles_a = _run(cfg, mode)
+        cycles_a = _run(cfg, mode, on_step)
         value = cfg.root.word.value
 
-        cycles_b = _run(cfg, Mode.SEARCH, phase1_only=True)
+        cycles_b = _run(cfg, Mode.SEARCH, on_step, phase1_only=True)
 
         matched = [i for i in live if cfg.nodes[i].flags.match == 1]
         if not matched:

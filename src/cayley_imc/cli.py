@@ -17,12 +17,12 @@ import json
 import random
 import re
 import sys
-import time
 from typing import Sequence
 
 from . import algorithms, engine, oracle
 from .node import Mode
-from .topology import TreeParams, build_topology, node_count, required_height
+from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
+                       node_count, required_height)
 from .tracefile import configuration_from_events, parse_trace, trace_header
 
 __all__ = ["main", "parse_input"]
@@ -75,6 +75,7 @@ def _load_elements(args: argparse.Namespace) -> list[int]:
     if args.list is not None:
         return parse_input(args.list, args.word_size)
     if args.seed is not None:
+        check_nodes(args.count + 1, f"--count {args.count}")
         rng = random.Random(args.seed)
         limit = 1 << args.word_size
         return [rng.randrange(limit) for _ in range(args.count)]
@@ -105,8 +106,9 @@ def _print_block(pairs: list[tuple[str, object]], as_json: bool) -> None:
 def _call_traced(run, path: str | None):
     """Call ``run``, recording its trace to ``path`` when one is given.
 
-    The trace is one segment: the header and the cycle-0 snapshot, then
-    one snapshot per cycle.
+    Every run segment writes its header and cycle-0 snapshot, then one
+    snapshot per cycle.  Search, max and min write one segment; sort writes
+    two per round, the tournament and the comparison phase.
     """
     if path is None:
         return run()
@@ -167,9 +169,9 @@ def _run_scheme(args: argparse.Namespace) -> int:
         expected = oracle.oracle_extremum(elements, command, identity)
         actual = res.value
     else:  # sort
-        if args.trace_out:
-            raise InputError("--trace-out supports single runs: search, max, min")
-        res = algorithms.sort(topo, elements, order=args.order)
+        res = _call_traced(
+            functools.partial(algorithms.sort, topo, elements, order=args.order),
+            args.trace_out)
         pairs += [
             ("order", args.order),
             ("output", ",".join(str(x) for x in res.output)),
@@ -206,6 +208,7 @@ def _run_info(args: argparse.Namespace) -> int:
         raise InputError("info needs --height or an input list")
     params = TreeParams(args.eta, height, args.word_size)
     n = node_count(params.eta, params.height)
+    check_nodes(n, f"--eta {params.eta} --height {params.height}")
     # Level sizes 1, eta+1, (eta+1)*eta, ...; the leaves are the last level
     # of any tree with more than the root.
     per_level = [1] + [(params.eta + 1) * params.eta ** (d - 1)
@@ -266,26 +269,24 @@ def _run_bench(args: argparse.Namespace) -> int:
     """Cycle counts for the tree sort next to the classic sorters."""
     rng = random.Random(args.seed if args.seed is not None else 0)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    for size in sizes:
+        check_nodes(size + 1, f"--sizes entry {size}")
     limit = 1 << args.word_size
     rows = []
     for size in sizes:
         elements = [rng.randrange(limit) for _ in range(size)]
         height = required_height(args.eta, size)
         topo = build_topology(TreeParams(args.eta, height, args.word_size))
-        t0 = time.perf_counter()
         res = algorithms.sort(topo, elements)
-        sim_ms = (time.perf_counter() - t0) * 1e3
         for name in oracle.BASELINE_SORTS:
-            t0 = time.perf_counter()
             out, comps = oracle.run_baseline(name, elements)
-            ms = (time.perf_counter() - t0) * 1e3
             if out != res.output:
                 print(f"bench: {name} disagrees with in-memory sort on size {size}")
                 return EXIT_DIVERGENCE
-            rows.append((size, name, "-", comps, f"{ms:.3f}"))
-        rows.append((size, "in-memory", res.cycles_total, "-", f"{sim_ms:.3f}"))
-    header = ("size", "algorithm", "cycles", "comparisons", "wall_ms")
-    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(5)]
+            rows.append((size, name, "-", comps))
+        rows.append((size, "in-memory", res.cycles_total, "-"))
+    header = ("size", "algorithm", "cycles", "comparisons")
+    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(4)]
     for row in [header] + rows:
         print("  ".join(str(v).ljust(widths[i]) for i, v in enumerate(row)))
     return EXIT_OK
@@ -351,6 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Checked before anything computes 1 << word_size.
+        word_size = getattr(args, "word_size", 1)
+        if not 1 <= word_size <= MAX_WORD_SIZE:
+            raise InputError(f"--word-size must be in 1..{MAX_WORD_SIZE}, got {word_size}")
         if args.command in ("search", "max", "min", "sort"):
             return _run_scheme(args)
         if args.command == "info":

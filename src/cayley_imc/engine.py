@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .node import (
-    Combine,
     Mode,
     NodeState,
     receive_max,
@@ -143,13 +142,12 @@ def step(cfg: Configuration, *, capture: bool = False,
         phase2 = not cfg.phase1_only
         for i in ids:
             n = nodes[i]
-            receive_search(n, n.inbox, topo, phase2=phase2)
+            receive_search(n, phase2=phase2)
             n.inbox.clear()
     else:
-        combine = Combine.OR if mode is Mode.MAX else Combine.AND
         for i in ids:
             n = nodes[i]
-            receive_max(n, n.inbox, topo, combine)
+            receive_max(n)
             n.inbox.clear()
 
     emitted: list[dict[str, int]] | None = [{} for _ in nodes] if capture else None

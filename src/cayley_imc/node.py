@@ -36,7 +36,6 @@ from .topology import CayleyTopology, Role
 
 __all__ = [
     "BitWord",
-    "Combine",
     "Mode",
     "NodeFlags",
     "Inbox",
@@ -112,17 +111,6 @@ class Mode(Enum):
     IDLE = "idle"
 
 
-class Combine(Enum):
-    """Reduction used by the extremum tournament; OR finds max, AND min."""
-
-    OR = "or"
-    AND = "and"
-
-    @property
-    def identity(self) -> int:
-        return 0 if self is Combine.OR else 1
-
-
 @dataclass
 class NodeFlags:
     """One node's flag registers.
@@ -138,7 +126,6 @@ class NodeFlags:
     match: int = 1
     link_mem: int = 0
     link_child: list[int] = field(default_factory=list)
-    link_parent: int = 0
     perm_disabled: int = 0
 
 
@@ -184,8 +171,9 @@ class NodeState:
     Carries the word, the flags, the local clock (one tick per send step)
     and the latched inbox, plus bookkeeping counters the engine observes
     for termination: data bits written at the root, listen cycles at the
-    root, circular shifts performed, and the match value each node held
-    when its key-comparison phase ended.
+    root, and the match value each node held when its key-comparison phase
+    ended.  ``neutral`` is the tournament's identity bit, 0 for max (an OR
+    tournament) and 1 for min (an AND tournament).
     """
 
     __slots__ = (
@@ -201,7 +189,6 @@ class NodeState:
         "neutral",
         "writes",
         "listen_steps",
-        "shifts",
         "phase1_match",
     )
 
@@ -219,7 +206,6 @@ class NodeState:
         self.neutral = 0
         self.writes = 0
         self.listen_steps = 0
-        self.shifts = 0
         self.phase1_match: int | None = None
 
 
@@ -262,31 +248,18 @@ def reset_flags(node: NodeState, next_mode: Mode) -> NodeState:
     f.link_mem = 1 if perm else 0
     for i in range(len(f.link_child)):
         f.link_child[i] = 0
-    f.link_parent = 0
     node.local_clock = 0
     node.inbox.clear()
     node.acted = False
     node.neutral = 1 if next_mode is Mode.MIN else 0
     node.writes = 0
     node.listen_steps = 0
-    node.shifts = 0
     node.phase1_match = None
     return node
 
 
-def _check_ports(node: NodeState, incoming: Inbox) -> None:
-    if len(incoming.children) != node.n_children:
-        raise ValueError(
-            f"node {node.id}: inbox has {len(incoming.children)} child ports, "
-            f"topology gives it {node.n_children}"
-        )
-    if node.role is Role.ROOT and incoming.parent is not None:
-        raise ValueError(f"root node {node.id} received a parent bit")
-
-
-def receive_search(node: NodeState, incoming: Inbox, topo: CayleyTopology,
-                   *, phase2: bool = True) -> NodeState:
-    """Consume the latched inbox in search mode.
+def receive_search(node: NodeState, *, phase2: bool = True) -> NodeState:
+    """Consume the node's latched inbox in search mode.
 
     Root: ignores everything while broadcasting; once done it absorbs the
     OR of its children's relayed match bits, sticking at 1.  Non-root with
@@ -298,23 +271,15 @@ def receive_search(node: NodeState, incoming: Inbox, topo: CayleyTopology,
     consumed.  With ``phase2`` false the node freezes at the end of the
     comparison phase instead, leaving match readable (sorting uses this).
     """
-    if incoming is not node.inbox:
-        # A node's own inbox is laid out by construction; externally built
-        # ones get their port layout checked.
-        _check_ports(node, incoming)
+    incoming = node.inbox
     w = node.word.width
     f = node.flags
     if node.role is Role.ROOT:
         if node.local_clock <= w or not phase2:
             return node
         node.listen_steps += 1
-        s = f.state
-        if incoming.child_count:
-            for b in incoming.children:
-                if b:
-                    s = 1
-                    break
-        f.state = s
+        if incoming.child_count and any(incoming.children):
+            f.state = 1
         return node
 
     if node.local_clock <= w:
@@ -335,13 +300,7 @@ def receive_search(node: NodeState, incoming: Inbox, topo: CayleyTopology,
         return node
     if node.phase1_match is None:
         node.phase1_match = f.match
-    s = 0
-    if incoming.child_count:
-        for b in incoming.children:
-            if b:
-                s = 1
-                break
-    f.state = s | f.match
+    f.state = 1 if f.match or (incoming.child_count and any(incoming.children)) else 0
     f.match = 0
     node.acted = True
     return node
@@ -380,22 +339,21 @@ def send_search(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emiss
     return node, _TO_PARENT[f.state]
 
 
-def receive_max(node: NodeState, incoming: Inbox, topo: CayleyTopology,
-                combine: Combine) -> NodeState:
-    """Consume the latched inbox in max/min mode.
+def receive_max(node: NodeState) -> NodeState:
+    """Consume the node's latched inbox in max/min mode.
 
     The first arriving bit is the initiate and only raises ``start``.  From
     then on, each cycle with child data is one tournament round: combine
     the bits of children whose links are up, plus the node's own MSB when
-    its memory link is up (never at the root), with OR or AND.  Any
-    participant whose bit differs from the round's result has its link cut
-    for the rest of the run.  The result becomes the state; the root also
-    writes it into its MSB.  Every round ends with a one-bit left rotation
-    of the word, so w rounds restore it.  An empty participant set yields
-    the combine identity.
+    its memory link is up (never at the root), with OR when ``neutral`` is
+    0 (max) and AND when it is 1 (min).  Any participant whose bit differs
+    from the round's result has its link cut for the rest of the run.  The
+    result becomes the state; the root also writes it into its MSB.  Every
+    round ends with a one-bit left rotation of the word, so w rounds
+    restore it.  An empty participant set yields ``neutral``, the identity
+    of the reduction.
     """
-    if incoming is not node.inbox:
-        _check_ports(node, incoming)
+    incoming = node.inbox
     f = node.flags
     if node.role is Role.LEAF:
         return node
@@ -416,8 +374,7 @@ def receive_max(node: NodeState, incoming: Inbox, topo: CayleyTopology,
             f"{node.n_children}); tournament rounds must arrive in lockstep"
         )
     links = f.link_child
-    use_and = combine is Combine.AND
-    s = combine.identity
+    use_and = s = node.neutral
     for i, b in enumerate(incoming.children):
         if not links[i]:
             s = (s & b) if use_and else (s | b)
@@ -435,7 +392,6 @@ def receive_max(node: NodeState, incoming: Inbox, topo: CayleyTopology,
         node.word = node.word.with_msb(s)
         node.writes += 1
     node.word = circular_left_shift(node.word)
-    node.shifts += 1
     node.acted = True
     return node
 
@@ -445,9 +401,9 @@ def send_max(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emission
 
     Leaves self-start: initiate at clock 0, then one word bit per cycle
     (MSB, rotate) until all w bits are out.  A leaf whose memory link is
-    disabled streams the combine identity instead, keeping the pipeline
-    full without letting its value compete.  Intermediates forward their
-    state on cycles they acted.  The root never sends.
+    disabled streams ``neutral`` instead, keeping the pipeline full without
+    letting its value compete.  Intermediates forward their state on
+    cycles they acted.  The root never sends.
     """
     w = node.word.width
     f = node.flags
@@ -461,7 +417,6 @@ def send_max(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emission
             return node, _TO_PARENT[1]
         f.state = node.word.msb if not f.link_mem else node.neutral
         node.word = circular_left_shift(node.word)
-        node.shifts += 1
         return node, _TO_PARENT[f.state]
 
     if node.role is Role.INTERMEDIATE:

@@ -87,8 +87,8 @@ def _spread(plane: int, n: int, k: int) -> int:
 class _Level:
     """One depth of the tree: per-node bit planes plus scalar control state.
 
-    ``rot`` counts the word's left rotations, which is also the node's
-    ``shifts`` counter and, at the root, its ``writes`` counter.
+    ``rot`` counts the word's left rotations, which at the root is also its
+    ``writes`` counter.
     """
 
     __slots__ = ("nodes", "values", "n", "mask", "k", "words", "rot", "shown_rot",
@@ -284,7 +284,7 @@ class PlaneRun:
                 lv.shown_rot = r
             start, clock, acted, listen, parent = \
                 lv.start, lv.clock, lv.acted, lv.listen, lv.in_parent
-            shifts, writes = lv.rot, (0 if d else lv.rot)
+            writes = 0 if d else lv.rot
             child_count = 0 if lv.in_children is None else k
             p1 = lv.phase1_match
             rows = zip(lv.nodes, _bits(lv.state, n), _bits(lv.match, n),
@@ -294,9 +294,8 @@ class PlaneRun:
                 f = nd.flags
                 f.state, f.start, f.match, f.link_mem = state, start, match, link_mem
                 f.link_child[:] = links
-                f.link_parent = 0
                 nd.local_clock, nd.acted, nd.neutral = clock, acted, neutral
-                nd.writes, nd.listen_steps, nd.shifts = writes, listen, shifts
+                nd.writes, nd.listen_steps = writes, listen
                 nd.phase1_match = phase1_match
                 ib = nd.inbox
                 ib.parent, ib.child_count = parent, child_count

@@ -21,12 +21,21 @@ __all__ = [
     "node_count",
     "required_height",
     "build_topology",
+    "check_nodes",
+    "MAX_NODES",
+    "MAX_WORD_SIZE",
 ]
 
-# Construction rejects trees whose node count cannot be represented in a
-# 64-bit signed integer; Python ints are unbounded but the platform being
-# modelled is not.
-_MAX_NODES = 2**63 - 1
+# node_count rejects counts that cannot be represented in a 64-bit signed
+# integer; Python ints are unbounded but the platform being modelled is not.
+_MAX_COUNT = 2**63 - 1
+
+# Caps on what one simulation may allocate.  A built tree with a loaded
+# list takes about 650 bytes per node (CPython 3.11, tracemalloc), so
+# MAX_NODES bounds it near 2.7 GB; a word wider than a machine word has no
+# hardware to model.
+MAX_NODES = 1 << 22
+MAX_WORD_SIZE = 64
 
 
 class Role(Enum):
@@ -48,8 +57,9 @@ class TreeParams:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
         if self.height < 1:
             raise ValueError(f"height must be >= 1, got {self.height}")
-        if self.word_size < 1:
-            raise ValueError(f"word_size must be >= 1, got {self.word_size}")
+        if not 1 <= self.word_size <= MAX_WORD_SIZE:
+            raise ValueError(
+                f"word_size must be in 1..{MAX_WORD_SIZE}, got {self.word_size}")
 
 
 def node_count(eta: int, height: int) -> int:
@@ -69,12 +79,18 @@ def node_count(eta: int, height: int) -> int:
         total = 2 * height - 1
     elif (height - 1) * (eta.bit_length() - 1) >= 63:
         # eta^(h-1) >= 2^63 already; refuse before computing a huge power.
-        total = _MAX_NODES + 1
+        total = _MAX_COUNT + 1
     else:
         total = 1 + (eta + 1) * (eta ** (height - 1) - 1) // (eta - 1)
-    if total > _MAX_NODES:
+    if total > _MAX_COUNT:
         raise OverflowError(f"node count for eta={eta}, height={height} exceeds 2^63-1")
     return total
+
+
+def check_nodes(n: int, what: str) -> None:
+    """Refuse ``what``, which needs ``n`` nodes, past the MAX_NODES cap."""
+    if n > MAX_NODES:
+        raise ValueError(f"{what} needs {n} nodes, over the limit of {MAX_NODES}")
 
 
 def required_height(eta: int, list_len: int) -> int:
@@ -118,6 +134,7 @@ def build_topology(params: TreeParams) -> CayleyTopology:
     """Construct the tree for ``params`` with breadth-first node ids."""
     eta, h = params.eta, params.height
     n = node_count(eta, h)
+    check_nodes(n, f"a tree with eta={eta}, height={h}")
 
     parent = [-1] * n
     children: list[tuple[int, ...]] = [()] * n

@@ -71,9 +71,9 @@ def full_state(cfg) -> tuple:
         rows.append((
             nd.id, nd.word.width, nd.word.value,
             f.state, f.start, f.match, f.link_mem, tuple(f.link_child),
-            f.link_parent, f.perm_disabled,
+            f.perm_disabled,
             nd.local_clock, nd.acted, nd.neutral, nd.writes, nd.listen_steps,
-            nd.shifts, nd.phase1_match,
+            nd.phase1_match,
             ib.parent, tuple(ib.children), ib.child_count,
         ))
     return (cfg.mode, cfg.global_cycle, cfg.phase1_only, tuple(rows))

@@ -7,7 +7,7 @@ import pytest
 
 from cayley_imc import cli
 from cayley_imc.cli import InputError, main, parse_input
-from cayley_imc.topology import TreeParams, build_topology
+from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology
 
 
 class TestParseInput:
@@ -237,12 +237,27 @@ class TestTrace:
         data = path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
-    def test_sort_trace_unsupported(self, capsys, tmp_path):
-        status, _, err = run_cli(
-            capsys, "sort", "--list", "1,2", "--trace-out",
-            str(tmp_path / "x.trace"))
+    def test_sort_trace_round_trip(self, capsys, tmp_path):
+        # Four distinct values: four rounds of two segments, each segment
+        # 10 nodes x (1 + its cycles) events.
+        path = tmp_path / "sort.trace"
+        status, out, _ = run_cli(
+            capsys, "sort", "--list", "9,1,5,5,3", "--word-size", "4",
+            "--trace-out", str(path))
+        assert status == 0
+        assert f"trace: {path}" in out
+        status, out, _ = run_cli(capsys, "trace", str(path))
+        assert status == 0
+        assert out == "trace: 8 segment(s), 640 events, replay matches\n"
+
+    def test_empty_sort_trace_is_refused_by_replay(self, capsys, tmp_path):
+        path = tmp_path / "empty.trace"
+        status, _, _ = run_cli(capsys, "sort", "--list", "", "--trace-out", str(path))
+        assert status == 0
+        assert path.read_bytes() == b""
+        status, _, err = run_cli(capsys, "trace", str(path))
         assert status == 1
-        assert "single runs" in err
+        assert "no trace segments" in err
 
     def test_tampered_trace_detected(self, capsys, tmp_path):
         path = tmp_path / "run.trace"
@@ -305,6 +320,8 @@ class TestTrace:
         (None, {"l_children": [0]}, "'l_children'"),
         (None, {"match": 2}, "0 or 1"),
         (None, {"state": None}, "'state'"),
+        # refused by the tree parameters, before the word range is computed
+        ({"word_size": MAX_WORD_SIZE + 1}, None, "word_size"),
     ])
     def test_bad_header_or_cycle0_event_rejected(self, capsys, tmp_path,
                                                   header, edit, needle):
@@ -323,6 +340,24 @@ class TestTrace:
             lines[2] = json.dumps(event)
         path.write_text("\n".join(lines) + "\n")
         self._rejected(capsys, path, needle)
+
+
+# Each value is just past its cap, where the check fires before anything is
+# drawn or built.
+_PAST_NODE_CAP = str(MAX_NODES // 2 + 1)  # an eta=1 height with MAX_NODES + 1 nodes
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("max", "--seed", "1", "--count", str(MAX_NODES)), "--count"),
+    (("bench", "--sizes", f"4,{MAX_NODES}"), "--sizes"),
+    (("info", "--eta", "1", "--height", _PAST_NODE_CAP), "limit"),
+    (("max", "--eta", "1", "--height", _PAST_NODE_CAP, "--list", "1"), "limit"),
+    (("max", "--list", "1", "--word-size", str(MAX_WORD_SIZE + 1)), "--word-size"),
+])
+def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and needle in err, err
 
 
 class TestBench:

@@ -94,14 +94,6 @@ def test_cycle_count_over_shapes():
         assert compute_max(tree).cycles == w + h
 
 
-def test_all_shift_counts_are_multiples_of_w(topo_2_3_4):
-    tree = load_list(topo_2_3_4, FIG_ELEMENTS, Mode.MAX)
-    compute_max(tree)
-    w = topo_2_3_4.params.word_size
-    for node in tree.cfg.nodes:
-        assert node.shifts % w == 0
-
-
 def test_link_flags_only_rise_within_a_run(topo_2_3_4):
     rng = random.Random(11)
     for _ in range(30):

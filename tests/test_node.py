@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from cayley_imc.node import (
     BitWord,
-    Combine,
-    Inbox,
     Mode,
     circular_left_shift,
     make_node,
@@ -61,16 +59,18 @@ def _fresh(topo, node_id, value, mode):
 
 
 def _parent_bit(node, bit):
-    box = Inbox(node.n_children)
-    box.parent = bit
-    return box
+    """Latch ``bit`` on the node's parent port, as a cycle's send would."""
+    node.inbox.clear()
+    node.inbox.parent = bit
+    return node
 
 
 def _child_bits(node, bits):
-    box = Inbox(node.n_children)
+    """Latch one bit per child port."""
+    node.inbox.clear()
     for slot, b in enumerate(bits):
-        box.put_child(slot, b)
-    return box
+        node.inbox.put_child(slot, b)
+    return node
 
 
 class TestResetFlags:
@@ -109,37 +109,32 @@ class TestResetFlags:
 class TestReceiveSearch:
     def test_initiate_sets_start(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 14, Mode.SEARCH)
-        receive_search(node, _parent_bit(node, 1), topo_2_3_4)
+        receive_search(_parent_bit(node, 1))
         assert node.flags.start == 1
         assert node.flags.state == 1
 
     def test_match_holds_on_equal_bit(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1001, Mode.SEARCH)
-        receive_search(node, _parent_bit(node, 1), topo_2_3_4)  # initiate
+        receive_search(_parent_bit(node, 1))  # initiate
         node.local_clock = 1  # one send performed
-        receive_search(node, _parent_bit(node, 1), topo_2_3_4)  # key MSB 1
+        receive_search(_parent_bit(node, 1))  # key MSB 1
         assert node.flags.match == 1
 
     def test_match_clears_on_mismatch_and_sticks(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1001, Mode.SEARCH)
-        receive_search(node, _parent_bit(node, 1), topo_2_3_4)
+        receive_search(_parent_bit(node, 1))
         node.local_clock = 1
-        receive_search(node, _parent_bit(node, 0), topo_2_3_4)  # MSB is 1
+        receive_search(_parent_bit(node, 0))  # MSB is 1
         assert node.flags.match == 0
         node.local_clock = 2
-        receive_search(node, _parent_bit(node, 0), topo_2_3_4)  # equal bit now
+        receive_search(_parent_bit(node, 0))  # equal bit now
         assert node.flags.match == 0
 
     def test_dormant_without_parent_bit(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 14, Mode.SEARCH)
-        receive_search(node, Inbox(node.n_children), topo_2_3_4)
+        receive_search(node)
         assert node.flags.start == 0
         assert node.acted is False
-
-    def test_port_mismatch_rejected(self, topo_2_3_4):
-        node = _fresh(topo_2_3_4, 1, 14, Mode.SEARCH)
-        with pytest.raises(ValueError):
-            receive_search(node, Inbox(5), topo_2_3_4)
 
 
 class TestSendSearch:
@@ -178,7 +173,7 @@ class TestReceiveMax:
     def test_or_round_disables_losing_child(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1000, Mode.MAX)  # MSB 1
         node.flags.start = 1
-        receive_max(node, _child_bits(node, [0, 1]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [0, 1]))
         assert node.flags.state == 1
         assert node.flags.link_child == [1, 0]
         assert node.flags.link_mem == 0
@@ -186,14 +181,14 @@ class TestReceiveMax:
     def test_losing_memory_is_disabled(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b0111, Mode.MAX)  # MSB 0
         node.flags.start = 1
-        receive_max(node, _child_bits(node, [1, 1]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [1, 1]))
         assert node.flags.state == 1
         assert node.flags.link_mem == 1
 
     def test_and_round_is_the_dual(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1000, Mode.MIN)  # MSB 1
         node.flags.start = 1
-        receive_max(node, _child_bits(node, [1, 0]), topo_2_3_4, Combine.AND)
+        receive_max(_child_bits(node, [1, 0]))
         assert node.flags.state == 0
         assert node.flags.link_child == [1, 0]  # the 1-sender lost
         assert node.flags.link_mem == 1  # and so did the MSB
@@ -201,13 +196,12 @@ class TestReceiveMax:
     def test_word_rotates_every_round(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1110, Mode.MAX)
         node.flags.start = 1
-        receive_max(node, _child_bits(node, [0, 0]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [0, 0]))
         assert node.word.value == 0b1101
-        assert node.shifts == 1
 
     def test_initiate_only_raises_start(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1110, Mode.MAX)
-        receive_max(node, _child_bits(node, [1, 1]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [1, 1]))
         assert node.flags.start == 1
         assert node.word.value == 0b1110  # no data round yet
         assert node.flags.link_child == [0, 0]
@@ -217,7 +211,7 @@ class TestReceiveMax:
         node.flags.start = 1
         node.flags.link_child[1] = 1
         node.flags.link_mem = 1
-        receive_max(node, _child_bits(node, [0, 1]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [0, 1]))
         assert node.flags.state == 0  # only the enabled 0-sender counts
 
     def test_empty_participant_set_yields_identity(self, topo_2_3_4):
@@ -225,19 +219,19 @@ class TestReceiveMax:
         node.flags.start = 1
         node.flags.link_child = [1, 1]
         node.flags.link_mem = 1
-        receive_max(node, _child_bits(node, [1, 1]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(node, [1, 1]))
         assert node.flags.state == 0
         node2 = _fresh(topo_2_3_4, 1, 0b0000, Mode.MIN)
         node2.flags.start = 1
         node2.flags.link_child = [1, 1]
         node2.flags.link_mem = 1
-        receive_max(node2, _child_bits(node2, [0, 0]), topo_2_3_4, Combine.AND)
+        receive_max(_child_bits(node2, [0, 0]))
         assert node2.flags.state == 1
 
     def test_root_writes_result_into_msb(self, topo_2_3_4):
         root = _fresh(topo_2_3_4, 0, 0, Mode.MAX)
         root.flags.start = 1
-        receive_max(root, _child_bits(root, [0, 1, 0]), topo_2_3_4, Combine.OR)
+        receive_max(_child_bits(root, [0, 1, 0]))
         # wrote 1 into the MSB, then rotated it down to the LSB
         assert root.word.value == 0b0001
         assert root.writes == 1

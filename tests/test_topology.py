@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayley_imc.topology import (
+    MAX_NODES,
+    MAX_WORD_SIZE,
     Role,
     TreeParams,
     build_topology,
@@ -110,6 +112,17 @@ class TestBuildTopology:
                 assert len(depths) == 1
             for c in kids:
                 assert topo.parent_of[c] == i
+
+    def test_tree_just_past_the_node_cap_is_refused(self):
+        height = MAX_NODES // 2 + 1  # eta=1 trees have 2h - 1 nodes
+        assert node_count(1, height) == MAX_NODES + 1
+        with pytest.raises(ValueError, match="limit"):
+            build_topology(TreeParams(1, height, 4))
+
+    def test_word_size_cap(self):
+        assert TreeParams(2, 3, MAX_WORD_SIZE).word_size == MAX_WORD_SIZE
+        with pytest.raises(ValueError, match="word_size"):
+            TreeParams(2, 3, MAX_WORD_SIZE + 1)
 
     def test_breadth_first_ids_are_dense_and_ordered(self):
         topo = cached_topology(3, 4, 4)
