@@ -27,7 +27,7 @@ from .engine import (
     snapshot,
     step,
 )
-from .node import BitWord, Mode, NodeFlags, NodeState, circular_left_shift
+from .node import Mode, NodeFlags, NodeState
 from .topology import (
     CayleyTopology,
     Role,
@@ -38,7 +38,6 @@ from .topology import (
 )
 
 __all__ = [
-    "BitWord",
     "CayleyTopology",
     "Configuration",
     "ExtremumResult",
@@ -54,7 +53,6 @@ __all__ = [
     "TraceEvent",
     "TreeParams",
     "build_topology",
-    "circular_left_shift",
     "compute_max",
     "compute_min",
     "load_list",

@@ -24,7 +24,7 @@ from .engine import (
     reset_configuration,
     run_until_quiescent,
 )
-from .node import BitWord, Mode, make_node
+from .node import Mode, make_node
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -114,11 +114,11 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
         root_word = limit - 1
         pad_word = limit - 1
 
-    nodes = [make_node(topo, 0, BitWord(w, root_word))]
+    nodes = [make_node(topo, 0, root_word)]
     occupied = frozenset(range(1, len(elements) + 1))
     for i in range(1, topo.n):
         value = elements[i - 1] if i <= len(elements) else pad_word
-        nodes.append(make_node(topo, i, BitWord(w, value)))
+        nodes.append(make_node(topo, i, value))
     if mode is Mode.SEARCH:
         for i in range(len(elements) + 1, topo.n):
             nodes[i].flags.perm_disabled = 1
@@ -158,7 +158,7 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
     w = cfg.topo.params.word_size
     if not 0 <= key < (1 << w):
         raise ValueError(f"key {key} out of range [0, 2^{w})")
-    cfg.root.word = BitWord(w, key)
+    cfg.root.word = key
     cycles = _run(cfg, Mode.SEARCH, on_step)
     matched: frozenset[int] = frozenset()
     if collect_matches:
@@ -175,7 +175,7 @@ def _run_extremum(tree: LoadedTree, mode: Mode,
     if cfg.mode is not mode:
         raise ValueError(f"tree is loaded for {cfg.mode.value}, not {mode.value}")
     cycles = _run(cfg, mode, on_step)
-    return ExtremumResult(value=cfg.root.word.value, cycles=cycles)
+    return ExtremumResult(value=cfg.root.word, cycles=cycles)
 
 
 def compute_max(tree: LoadedTree, on_step: StepObserver | None = None) -> ExtremumResult:
@@ -219,7 +219,7 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     live = set(tree.occupied)
     while live:
         cycles_a = _run(cfg, mode, on_step)
-        value = cfg.root.word.value
+        value = cfg.root.word
 
         cycles_b = _run(cfg, Mode.SEARCH, on_step, phase1_only=True)
 

@@ -75,6 +75,8 @@ def _load_elements(args: argparse.Namespace) -> list[int]:
     if args.list is not None:
         return parse_input(args.list, args.word_size)
     if args.seed is not None:
+        if args.count < 0:
+            raise InputError(f"--count must be >= 0, got {args.count}")
         check_nodes(args.count + 1, f"--count {args.count}")
         rng = random.Random(args.seed)
         limit = 1 << args.word_size
@@ -318,21 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, desc in (("search", "look a key up in the tree"),
                        ("max", "compute the maximum in-memory"),
-                       ("min", "compute the minimum in-memory")):
+                       ("min", "compute the minimum in-memory"),
+                       ("sort", "sort the list in-memory")):
         p = sub.add_parser(name, help=desc)
         _add_common(p)
         if name == "search":
             p.add_argument("--key", type=int, default=None, help="key to search for")
+        elif name == "sort":
+            p.add_argument("--order", choices=("desc", "asc"), default="desc",
+                           help="output order (default desc)")
         p.add_argument("--trace-out", dest="trace_out", default=None,
                        help="write the per-cycle trace stream to this path")
         p.add_argument("--no-verify", dest="verify", action="store_false",
                        help="skip the oracle cross-check")
-
-    p = sub.add_parser("sort", help="sort the list in-memory")
-    _add_common(p)
-    p.add_argument("--order", choices=("desc", "asc"), default="desc")
-    p.add_argument("--trace-out", dest="trace_out", default=None)
-    p.add_argument("--no-verify", dest="verify", action="store_false")
 
     p = sub.add_parser("info", help="topology and space arithmetic")
     _add_common(p)

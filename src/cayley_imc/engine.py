@@ -93,21 +93,7 @@ class TraceEvent(NamedTuple):
     emitted: dict[str, int]
 
     def to_json(self) -> str:
-        d = {
-            "cycle": self.cycle,
-            "node": self.node,
-            "depth": self.depth,
-            "role": self.role,
-            "word": self.word,
-            "state": self.state,
-            "start": self.start,
-            "match": self.match,
-            "l_m": self.l_m,
-            "l_children": list(self.l_children),
-            "perm_disabled": self.perm_disabled,
-            "emitted": self.emitted,
-        }
-        return json.dumps(d, separators=(",", ":"))
+        return json.dumps(self._asdict(), separators=(",", ":"))
 
 
 def reset_configuration(cfg: Configuration, mode: Mode, *,
@@ -250,21 +236,18 @@ def _budget_exhausted(cfg: Configuration, max_cycles: int) -> QuiescenceError:
 
 
 def snapshot(cfg: Configuration,
-             emissions: list[dict[str, int]] | None = None,
-             node_filter: Callable[[int], bool] | None = None) -> list[TraceEvent]:
+             emissions: list[dict[str, int]] | None = None) -> list[TraceEvent]:
     """One TraceEvent per node for the current cycle, values copied."""
     topo = cfg.topo
     events = []
     for n in cfg.nodes:
-        if node_filter is not None and not node_filter(n.id):
-            continue
         f = n.flags
         events.append(TraceEvent(
             cycle=cfg.global_cycle,
             node=n.id,
             depth=n.depth,
             role=topo.role_of[n.id].value,
-            word=n.word.value,
+            word=n.word,
             state=f.state,
             start=f.start,
             match=f.match,

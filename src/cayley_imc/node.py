@@ -35,13 +35,11 @@ from typing import NamedTuple
 from .topology import CayleyTopology, Role
 
 __all__ = [
-    "BitWord",
     "Mode",
     "NodeFlags",
     "Inbox",
     "Emission",
     "NodeState",
-    "circular_left_shift",
     "make_node",
     "reset_flags",
     "receive_search",
@@ -51,57 +49,9 @@ __all__ = [
 ]
 
 
-class BitWord:
-    """Fixed-width word; bit index 0 is the most significant bit.
-
-    Instances are immutable by convention; every operation returns a new
-    word.  Plain slots keep construction cheap, since the tournament
-    rotates millions of these in a large fuzz run.
-    """
-
-    __slots__ = ("width", "value")
-
-    def __init__(self, width: int, value: int) -> None:
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} out of range for width {width}")
-        self.width = width
-        self.value = value
-
-    def bit(self, k: int) -> int:
-        """Bit k counted from the MSB (k = 0) down to the LSB (k = w-1)."""
-        if not 0 <= k < self.width:
-            raise IndexError(f"bit index {k} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - k)) & 1
-
-    @property
-    def msb(self) -> int:
-        return self.value >> (self.width - 1)
-
-    def with_msb(self, bit: int) -> "BitWord":
-        top = 1 << (self.width - 1)
-        return BitWord(self.width, (self.value & (top - 1)) | (top if bit else 0))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BitWord)
-                and self.width == other.width and self.value == other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.value))
-
-    def __repr__(self) -> str:
-        return f"BitWord({self.width}, 0b{self.value:0{self.width}b})"
-
-
-def circular_left_shift(word: BitWord) -> BitWord:
-    """One-bit left rotation: the MSB wraps around to the LSB."""
-    w = word.width
-    # Rotation preserves the width invariant, so skip re-validation.
-    out = BitWord.__new__(BitWord)
-    out.width = w
-    out.value = ((word.value << 1) | (word.value >> (w - 1))) & ((1 << w) - 1)
-    return out
+def _rotl(word: int, w: int) -> int:
+    """One-bit left rotation of a ``w``-bit word: the MSB wraps to the LSB."""
+    return ((word << 1) | (word >> (w - 1))) & ((1 << w) - 1)
 
 
 class Mode(Enum):
@@ -168,11 +118,11 @@ _TO_CHILDREN = (Emission(to_children=0), Emission(to_children=1))
 class NodeState:
     """Full state of one processing element.
 
-    Carries the word, the flags, the local clock (one tick per send step)
-    and the latched inbox, plus bookkeeping counters the engine observes
-    for termination: data bits written at the root, listen cycles at the
-    root, and the match value each node held when its key-comparison phase
-    ended.  ``neutral`` is the tournament's identity bit, 0 for max (an OR
+    Carries the word (an int of ``width`` bits, bit ``width - 1`` the MSB),
+    the flags, the local clock (one tick per send step) and the latched
+    inbox, plus bookkeeping counters the engine observes for termination:
+    data bits written at the root, listen cycles at the root, and the match
+    value each node held when its key-comparison phase ended.  ``neutral`` is the tournament's identity bit, 0 for max (an OR
     tournament) and 1 for min (an AND tournament).
     """
 
@@ -181,6 +131,7 @@ class NodeState:
         "role",
         "depth",
         "n_children",
+        "width",
         "word",
         "flags",
         "local_clock",
@@ -192,12 +143,13 @@ class NodeState:
         "phase1_match",
     )
 
-    def __init__(self, node_id: int, role: Role, depth: int, word: BitWord,
+    def __init__(self, node_id: int, role: Role, depth: int, width: int, word: int,
                  n_children: int) -> None:
         self.id = node_id
         self.role = role
         self.depth = depth
         self.n_children = n_children
+        self.width = width
         self.word = word
         self.flags = NodeFlags(link_child=[0] * n_children)
         self.local_clock = 0
@@ -209,11 +161,12 @@ class NodeState:
         self.phase1_match: int | None = None
 
 
-def make_node(topo: CayleyTopology, node_id: int, word: BitWord) -> NodeState:
+def make_node(topo: CayleyTopology, node_id: int, word: int) -> NodeState:
     return NodeState(
         node_id,
         topo.role_of[node_id],
         topo.depth_of[node_id],
+        topo.params.word_size,
         word,
         len(topo.children_of[node_id]),
     )
@@ -272,7 +225,7 @@ def receive_search(node: NodeState, *, phase2: bool = True) -> NodeState:
     comparison phase instead, leaving match readable (sorting uses this).
     """
     incoming = node.inbox
-    w = node.word.width
+    w = node.width
     f = node.flags
     if node.role is Role.ROOT:
         if node.local_clock <= w or not phase2:
@@ -292,7 +245,7 @@ def receive_search(node: NodeState, *, phase2: bool = True) -> NodeState:
         elif f.match:
             # Key bit number clock compares against word bit clock-1 (MSB
             # first), i.e. the bit w-clock positions above the LSB.
-            f.match = 1 if b == (node.word.value >> (w - node.local_clock)) & 1 else 0
+            f.match = 1 if b == (node.word >> (w - node.local_clock)) & 1 else 0
         node.acted = True
         return node
 
@@ -315,7 +268,7 @@ def send_search(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emiss
     A non-root node emits only on cycles it acted: downward while key bits
     are flowing, upward afterwards.
     """
-    w = node.word.width
+    w = node.width
     f = node.flags
     if node.role is Role.ROOT:
         c = node.local_clock
@@ -324,7 +277,7 @@ def send_search(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emiss
             f.state = 1
             return node, _TO_CHILDREN[1]
         if c <= w:
-            bit = node.word.bit(c - 1)
+            bit = (node.word >> (w - c)) & 1
             f.state = 0 if c == w else bit
             return node, _TO_CHILDREN[bit]
         return node, None
@@ -354,6 +307,7 @@ def receive_max(node: NodeState) -> NodeState:
     of the reduction.
     """
     incoming = node.inbox
+    w = node.width
     f = node.flags
     if node.role is Role.LEAF:
         return node
@@ -380,7 +334,7 @@ def receive_max(node: NodeState) -> NodeState:
             s = (s & b) if use_and else (s | b)
     own = -1
     if node.role is Role.INTERMEDIATE and not f.link_mem:
-        own = node.word.msb
+        own = node.word >> (w - 1)
         s = (s & own) if use_and else (s | own)
     for i, b in enumerate(incoming.children):
         if not links[i] and b != s:
@@ -389,9 +343,11 @@ def receive_max(node: NodeState) -> NodeState:
         f.link_mem = 1
     f.state = s
     if node.role is Role.ROOT:
-        node.word = node.word.with_msb(s)
+        # Write s into the MSB, then rotate it down to the LSB.
+        node.word = ((node.word << 1) & ((1 << w) - 1)) | s
         node.writes += 1
-    node.word = circular_left_shift(node.word)
+    else:
+        node.word = _rotl(node.word, w)
     node.acted = True
     return node
 
@@ -405,7 +361,7 @@ def send_max(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emission
     letting its value compete.  Intermediates forward their state on
     cycles they acted.  The root never sends.
     """
-    w = node.word.width
+    w = node.width
     f = node.flags
     if node.role is Role.LEAF:
         c = node.local_clock
@@ -415,8 +371,8 @@ def send_max(node: NodeState, topo: CayleyTopology) -> tuple[NodeState, Emission
         if c == 0:
             f.state = 1
             return node, _TO_PARENT[1]
-        f.state = node.word.msb if not f.link_mem else node.neutral
-        node.word = circular_left_shift(node.word)
+        f.state = node.word >> (w - 1) if not f.link_mem else node.neutral
+        node.word = _rotl(node.word, w)
         return node, _TO_PARENT[f.state]
 
     if node.role is Role.INTERMEDIATE:

@@ -28,13 +28,13 @@ from itertools import repeat
 from operator import attrgetter, or_
 
 from .engine import Configuration, _budget_exhausted, _validate_quiescent
-from .node import BitWord, Mode
+from .node import Mode
 
 __all__ = ["PlaneRun", "run"]
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TRUTH = b"0" + b"1" * 255  # flag byte to the digit of its truth value
-_word_value = attrgetter("word.value")
+_word = attrgetter("word")
 _perm_disabled = attrgetter("flags.perm_disabled")
 
 
@@ -98,7 +98,7 @@ class _Level:
     def __init__(self, nodes: list, k: int, w: int) -> None:
         self.nodes, self.k, self.n = nodes, k, len(nodes)
         self.mask = (1 << self.n) - 1
-        self.values = list(map(_word_value, nodes))
+        self.values = list(map(_word, nodes))
         # Plane j holds word bit j (MSB first).  bin(v | 1 << w) spells every
         # word as "0b1" plus exactly w digits; reversing puts position 0 at
         # the low end of every int.
@@ -275,12 +275,12 @@ class PlaneRun:
                 value = 0
                 for j in range(w):
                     value = (value << 1) | lv.words[(j + r) % w]
-                lv.nodes[0].word = BitWord(w, value)
+                lv.nodes[0].word = value
             elif r != lv.shown_rot:
                 # The node objects still hold the words rotated by shown_rot.
                 top = (1 << w) - 1
                 for nd, v in zip(lv.nodes, lv.values):
-                    nd.word = BitWord(w, ((v << r) | (v >> (w - r))) & top)
+                    nd.word = ((v << r) | (v >> (w - r))) & top
                 lv.shown_rot = r
             start, clock, acted, listen, parent = \
                 lv.start, lv.clock, lv.acted, lv.listen, lv.in_parent

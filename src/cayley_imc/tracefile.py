@@ -14,7 +14,7 @@ import json
 from typing import Iterable
 
 from .engine import Configuration
-from .node import BitWord, Mode, NodeState, make_node
+from .node import Mode, NodeState, make_node
 from .topology import TreeParams, build_topology, node_count
 
 __all__ = ["trace_header", "parse_trace", "configuration_from_events"]
@@ -116,7 +116,7 @@ def configuration_from_events(meta: dict, events: list[dict]) -> Configuration:
             raise ValueError(f"{where}: field 'l_children' must list {n_children} bits")
         if any(b not in (0, 1) or type(b) is not int for b in flags + links):
             raise ValueError(f"{where}: flag and link fields must be 0 or 1")
-        node = make_node(topo, i, BitWord(w, word))
+        node = make_node(topo, i, word)
         f = node.flags
         f.state, f.start, f.match, f.link_mem, f.perm_disabled = flags
         f.link_child[:] = links

@@ -69,7 +69,7 @@ def full_state(cfg) -> tuple:
     for nd in cfg.nodes:
         f, ib = nd.flags, nd.inbox
         rows.append((
-            nd.id, nd.word.width, nd.word.value,
+            nd.id, nd.width, nd.word,
             f.state, f.start, f.match, f.link_mem, tuple(f.link_child),
             f.perm_disabled,
             nd.local_clock, nd.acted, nd.neutral, nd.writes, nd.listen_steps,

@@ -76,10 +76,10 @@ def test_worked_example_max():
     with criterion("worked example: max", budget_s=1.0):
         topo = cached_topology(2, 3, 4)
         tree = load_list(topo, MAX_LIST, Mode.MAX)
-        before = [n.word.value for n in tree.cfg.nodes[1:]]
+        before = [n.word for n in tree.cfg.nodes[1:]]
         result = compute_max(tree)
         assert result.value == 14
-        after = [n.word.value for n in tree.cfg.nodes[1:]]
+        after = [n.word for n in tree.cfg.nodes[1:]]
         assert after == before
 
 
@@ -256,7 +256,6 @@ def test_disabled_subtree_soundness():
             poison = limit - 1 if mode is Mode.MAX else 0
             tree = load_list(topo, els, mode)
             cfg = tree.cfg
-            word_cls = type(cfg.root.word)
             for _ in range(w + h):
                 step(cfg)
                 for n in cfg.nodes:
@@ -266,7 +265,7 @@ def test_disabled_subtree_soundness():
                             for v in _subtree_nodes(topo, child):
                                 value = poison if rng.random() < 0.7 \
                                     else rng.randrange(limit)
-                                cfg.nodes[v].word = word_cls(w, value)
+                                cfg.nodes[v].word = value
                     if n.id != 0 and n.flags.link_mem:
-                        cfg.nodes[n.id].word = word_cls(w, poison)
-            assert cfg.root.word.value == expected, (els, mode)
+                        cfg.nodes[n.id].word = poison
+            assert cfg.root.word == expected, (els, mode)

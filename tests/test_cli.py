@@ -342,8 +342,8 @@ class TestTrace:
         self._rejected(capsys, path, needle)
 
 
-# Each value is just past its cap, where the check fires before anything is
-# drawn or built.
+# Each value is just past its cap, or below 0 for --count, where the check
+# fires before anything is drawn or built.
 _PAST_NODE_CAP = str(MAX_NODES // 2 + 1)  # an eta=1 height with MAX_NODES + 1 nodes
 
 
@@ -353,6 +353,7 @@ _PAST_NODE_CAP = str(MAX_NODES // 2 + 1)  # an eta=1 height with MAX_NODES + 1 n
     (("info", "--eta", "1", "--height", _PAST_NODE_CAP), "limit"),
     (("max", "--eta", "1", "--height", _PAST_NODE_CAP, "--list", "1"), "limit"),
     (("max", "--list", "1", "--word-size", str(MAX_WORD_SIZE + 1)), "--word-size"),
+    (("max", "--seed", "1", "--count", "-1"), "--count"),
 ])
 def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)

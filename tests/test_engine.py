@@ -111,12 +111,6 @@ def test_snapshot_copies_state(topo_2_3_4):
     assert events[1].match == 1  # copied, not aliased
 
 
-def test_snapshot_node_filter(topo_2_3_4):
-    cfg = _search_cfg(topo_2_3_4)
-    events = snapshot(cfg, node_filter=lambda i: i in (0, 4))
-    assert [e.node for e in events] == [0, 4]
-
-
 def test_snapshot_after_max_run_shows_answer_at_root(topo_2_3_4):
     cfg = load_list(topo_2_3_4, [14, 9, 5, 14, 7, 11, 10, 10], Mode.MAX).cfg
     run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))

@@ -25,7 +25,7 @@ def test_worked_example_max(topo_2_3_4):
 def test_worked_example_restores_words(topo_2_3_4):
     tree = load_list(topo_2_3_4, FIG_ELEMENTS, Mode.MAX)
     compute_max(tree)
-    values = [tree.cfg.nodes[i].word.value for i in range(1, 10)]
+    values = [tree.cfg.nodes[i].word for i in range(1, 10)]
     assert values == FIG_ELEMENTS + [0]  # originals plus one padding slot
 
 
@@ -137,7 +137,7 @@ def test_cut_subtrees_cannot_change_the_answer(topo_2_3_4):
                     if cut:
                         child = topo.children_of[node.id][slot]
                         for v in _subtree(topo, child):
-                            cfg.nodes[v].word = type(cfg.nodes[v].word)(4, 15)
+                            cfg.nodes[v].word = 15
                 if node.flags.link_mem and node.id != 0:
-                    cfg.nodes[node.id].word = type(node.word)(4, 15)
-        assert cfg.root.word.value == expected
+                    cfg.nodes[node.id].word = 15
+        assert cfg.root.word == expected

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayley_imc.node import (
-    BitWord,
     Mode,
-    circular_left_shift,
     make_node,
     receive_max,
     receive_search,
@@ -15,45 +13,11 @@ from cayley_imc.node import (
     send_search,
 )
 
-
-class TestBitWord:
-    def test_bits_are_msb_first(self):
-        word = BitWord(4, 0b1001)
-        assert [word.bit(k) for k in range(4)] == [1, 0, 0, 1]
-        assert word.msb == 1
-
-    def test_rotation_examples(self):
-        assert circular_left_shift(BitWord(4, 0b1001)).value == 0b0011
-        assert circular_left_shift(BitWord(4, 0)).value == 0
-        w = BitWord(4, 14)
-        for _ in range(4):
-            w = circular_left_shift(w)
-        assert w.value == 14
-
-    def test_with_msb(self):
-        assert BitWord(4, 0b0110).with_msb(1).value == 0b1110
-        assert BitWord(4, 0b1110).with_msb(0).value == 0b0110
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BitWord(0, 0)
-        with pytest.raises(ValueError):
-            BitWord(4, 16)
-        with pytest.raises(IndexError):
-            BitWord(4, 0).bit(4)
-
-    @given(st.integers(1, 16), st.data())
-    def test_full_rotation_is_identity(self, width, data):
-        value = data.draw(st.integers(0, (1 << width) - 1))
-        word = BitWord(width, value)
-        out = word
-        for _ in range(width):
-            out = circular_left_shift(out)
-        assert out == word
+from conftest import cached_topology
 
 
 def _fresh(topo, node_id, value, mode):
-    node = make_node(topo, node_id, BitWord(topo.params.word_size, value))
+    node = make_node(topo, node_id, value)
     reset_flags(node, mode)
     return node
 
@@ -197,13 +161,13 @@ class TestReceiveMax:
         node = _fresh(topo_2_3_4, 1, 0b1110, Mode.MAX)
         node.flags.start = 1
         receive_max(_child_bits(node, [0, 0]))
-        assert node.word.value == 0b1101
+        assert node.word == 0b1101
 
     def test_initiate_only_raises_start(self, topo_2_3_4):
         node = _fresh(topo_2_3_4, 1, 0b1110, Mode.MAX)
         receive_max(_child_bits(node, [1, 1]))
         assert node.flags.start == 1
-        assert node.word.value == 0b1110  # no data round yet
+        assert node.word == 0b1110  # no data round yet
         assert node.flags.link_child == [0, 0]
 
     def test_disabled_participants_are_ignored(self, topo_2_3_4):
@@ -233,8 +197,12 @@ class TestReceiveMax:
         root.flags.start = 1
         receive_max(_child_bits(root, [0, 1, 0]))
         # wrote 1 into the MSB, then rotated it down to the LSB
-        assert root.word.value == 0b0001
+        assert root.word == 0b0001
         assert root.writes == 1
+        root = _fresh(topo_2_3_4, 0, 0b1110, Mode.MAX)
+        root.flags.start = 1
+        receive_max(_child_bits(root, [0, 0, 0]))
+        assert root.word == 0b1100  # a 0 overwrote the MSB 1
 
 
 class TestSendMax:
@@ -242,14 +210,14 @@ class TestSendMax:
         leaf = _fresh(topo_2_3_4, 4, 0b1110, Mode.MAX)
         _, em = send_max(leaf, topo_2_3_4)
         assert em.to_parent == 1
-        assert leaf.word.value == 0b1110  # initiate does not shift
+        assert leaf.word == 0b1110  # initiate does not shift
 
     def test_leaf_streams_msb_and_rotates(self, topo_2_3_4):
         leaf = _fresh(topo_2_3_4, 4, 0b1110, Mode.MAX)
         send_max(leaf, topo_2_3_4)
         _, em = send_max(leaf, topo_2_3_4)
         assert em.to_parent == 1
-        assert leaf.word.value == 0b1101
+        assert leaf.word == 0b1101
 
     def test_leaf_stops_after_w_bits(self, topo_2_3_4):
         leaf = _fresh(topo_2_3_4, 4, 0b1010, Mode.MAX)
@@ -259,9 +227,19 @@ class TestSendMax:
             _, em = send_max(leaf, topo_2_3_4)
             bits.append(em.to_parent)
         assert bits == [1, 0, 1, 0]
-        assert leaf.word.value == 0b1010  # restored after w rotations
+        assert leaf.word == 0b1010  # restored after w rotations
         _, em = send_max(leaf, topo_2_3_4)
         assert em is None
+
+    @given(st.integers(1, 16), st.data())
+    def test_leaf_word_restored_after_w_sends(self, width, data):
+        value = data.draw(st.integers(0, (1 << width) - 1))
+        topo = cached_topology(2, 2, width)
+        leaf = _fresh(topo, 3, value, Mode.MAX)
+        send_max(leaf, topo)  # the initiate
+        bits = [send_max(leaf, topo)[1].to_parent for _ in range(width)]
+        assert bits == [(value >> (width - 1 - k)) & 1 for k in range(width)]
+        assert leaf.word == value
 
     def test_disabled_leaf_streams_neutral_bits(self, topo_2_3_4):
         leaf = _fresh(topo_2_3_4, 4, 0b1111, Mode.MAX)

@@ -107,7 +107,7 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
         output = []
         while live:
             _lockstep(obj, pl, mode)
-            value = obj.root.word.value
+            value = obj.root.word
             _lockstep(obj, pl, Mode.SEARCH, phase1_only=True)
             matched = [i for i in live if obj.nodes[i].flags.match == 1]
             assert matched

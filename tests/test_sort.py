@@ -69,7 +69,7 @@ def test_words_survive_the_whole_sort(topo_2_3_4):
     assert result.output == oracle_sort_desc(ELEMENTS)
     # sort() builds its own tree, so check by sorting a fresh load manually
     for i, x in enumerate(ELEMENTS, start=1):
-        assert tree.cfg.nodes[i].word.value == x
+        assert tree.cfg.nodes[i].word == x
 
 
 def test_order_independence(topo_2_3_4):
@@ -120,13 +120,13 @@ def test_words_restored_before_every_round(topo_2_3_4):
     while live and rounds < 10:
         reset_configuration(cfg, Mode.MAX)
         run_until_quiescent(cfg, budget)
-        value = cfg.root.word.value
+        value = cfg.root.word
         for i, x in enumerate(ELEMENTS, start=1):
-            assert cfg.nodes[i].word.value == x  # restored after the tournament
+            assert cfg.nodes[i].word == x  # restored after the tournament
         reset_configuration(cfg, Mode.SEARCH, phase1_only=True)
         run_until_quiescent(cfg, budget)
         for i, x in enumerate(ELEMENTS, start=1):
-            assert cfg.nodes[i].word.value == x  # searching never shifts
+            assert cfg.nodes[i].word == x  # searching never shifts
         matched = [i for i in live if cfg.nodes[i].flags.match == 1]
         assert matched and all(ELEMENTS[i - 1] == value for i in matched)
         for i in matched:

@@ -5,7 +5,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from cayley_imc.algorithms import compute_max, compute_min, load_list, search
-from cayley_imc.node import BitWord, Mode
+from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_extremum, oracle_search
 
 from conftest import cached_topology, full_state
@@ -39,7 +39,7 @@ class ReusedTree(RuleBasedStateMachine):
         self.twin = load_list(self.topo, els, mode, key=key)
 
     def _live_words(self):
-        return [nd.word.value for nd in self.tree.cfg.nodes[1:]
+        return [nd.word for nd in self.tree.cfg.nodes[1:]
                 if not nd.flags.perm_disabled]
 
     @rule(data=st.data())
@@ -52,7 +52,7 @@ class ReusedTree(RuleBasedStateMachine):
             assert got.matched_nodes == {
                 i for i in self.tree.occupied
                 if not self.tree.cfg.nodes[i].flags.perm_disabled
-                and self.tree.cfg.nodes[i].word.value == key}
+                and self.tree.cfg.nodes[i].word == key}
         else:
             which = "max" if self.mode is Mode.MAX else "min"
             compute = compute_max if self.mode is Mode.MAX else compute_min
@@ -67,7 +67,7 @@ class ReusedTree(RuleBasedStateMachine):
         i = data.draw(st.integers(1, self.topo.n - 1))
         value = data.draw(st.integers(0, (1 << self.w) - 1))
         for tree in (self.tree, self.twin):
-            tree.cfg.nodes[i].word = BitWord(self.w, value)
+            tree.cfg.nodes[i].word = value
 
     @rule(data=st.data())
     def set_perm_disabled(self, data):
