@@ -24,7 +24,7 @@ from .engine import (
     reset_configuration,
     run_until_quiescent,
 )
-from .node import Mode, make_node
+from .node import Mode
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -48,12 +48,39 @@ if TYPE_CHECKING:
     StepObserver = Callable[[Configuration, list[dict[str, int]] | None], None]
 
 
-@dataclass
 class LoadedTree:
-    """A configuration holding one input list, ready to run."""
+    """One input list in a tree, ready to run.
 
-    cfg: Configuration
-    occupied: frozenset[int]
+    The tree stays in bit planes (a ``planes.PlaneRun``) until ``cfg`` is
+    first read; from then on every run reads and writes ``cfg``.
+    """
+
+    def __init__(self, run: planes.PlaneRun, occupied: frozenset[int]) -> None:
+        self.topo, self.occupied = run.topo, occupied
+        self._planes: planes.PlaneRun | None = run
+        self._cfg: Configuration | None = None
+
+    @property
+    def cfg(self) -> Configuration:
+        if self._planes is not None:
+            self._cfg = self._planes.cfg or self._planes.configuration()
+            self._planes = None
+        return self._cfg
+
+    @property
+    def _root_word(self) -> int:
+        return self._cfg.root.word if self._planes is None else self._planes.root_word
+
+    def _bit(self, name: str, node: int) -> int:
+        if self._planes is not None:
+            return self._planes.bit(name, node)
+        nd = self._cfg.nodes[node]
+        return (nd.phase1_match or 0) if name == "phase1_match" else getattr(nd.flags, name)
+
+    def _check(self, mode: Mode) -> None:
+        loaded = self._cfg.mode if self._planes is None else self._planes.mode
+        if loaded is not mode:
+            raise ValueError(f"tree is loaded for {loaded.value}, not {mode.value}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +113,11 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
     nodes are permanently disabled with match pre-forced to 0, so a key
     that happens to equal the padding word can never produce a false hit.
     """
+    return _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
+
+
+def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
+          key: int | None, *, disable_padding: bool) -> LoadedTree:
     if mode not in (Mode.SEARCH, Mode.MAX, Mode.MIN):
         raise ValueError(f"cannot load a tree for mode {mode}")
     if topo.params.height < 2:
@@ -105,39 +137,26 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
             raise ValueError("search mode requires a key")
         if not 0 <= key < limit:
             raise ValueError(f"key {key} out of range [0, 2^{w})")
-        root_word = key
-        pad_word = 0
-    elif mode is Mode.MAX:
-        root_word = 0
-        pad_word = 0
-    else:
-        root_word = limit - 1
-        pad_word = limit - 1
-
-    nodes = [make_node(topo, 0, root_word)]
-    occupied = frozenset(range(1, len(elements) + 1))
-    for i in range(1, topo.n):
-        value = elements[i - 1] if i <= len(elements) else pad_word
-        nodes.append(make_node(topo, i, value))
-    if mode is Mode.SEARCH:
-        for i in range(len(elements) + 1, topo.n):
-            nodes[i].flags.perm_disabled = 1
-
-    cfg = Configuration(topo=topo, nodes=nodes, mode=mode)
-    reset_configuration(cfg, mode)
-    return LoadedTree(cfg=cfg, occupied=occupied)
+    pad_word = limit - 1 if mode is Mode.MIN else 0
+    root_word = key if mode is Mode.SEARCH else pad_word
+    run = planes.PlaneRun.load(topo, mode, root_word, elements, pad_word,
+                               disable_padding=disable_padding)
+    return LoadedTree(run, frozenset(range(1, len(elements) + 1)))
 
 
-def _run(cfg: Configuration, mode: Mode, on_step: StepObserver | None = None, *,
+def _run(tree: LoadedTree, mode: Mode, on_step: StepObserver | None = None, *,
          phase1_only: bool = False) -> int:
-    """Reset ``cfg`` for ``mode`` and run it to quiescence; return the cycles.
+    """Reset ``tree`` for ``mode`` and run it to quiescence; return the cycles.
 
-    Without an observer the bit-plane engine runs the whole segment.  With
-    one, the object engine steps it so the observer sees every cycle.
+    Without an observer the bit-plane engine runs the whole segment, in the
+    tree's own planes while it is in plane form.  With one, the object
+    engine steps it so the observer sees every cycle.
     """
-    budget = default_cycle_budget(cfg.topo)
+    budget = default_cycle_budget(tree.topo)
     if on_step is None:
-        return planes.run(cfg, mode, budget, phase1_only=phase1_only)
+        run = tree._planes or planes.PlaneRun(tree.cfg, mode)
+        return run.run(mode, budget, phase1_only=phase1_only)
+    cfg = tree.cfg
     reset_configuration(cfg, mode, phase1_only=phase1_only)
     on_step(cfg, None)
     return run_until_quiescent(cfg, budget, on_step)[1]
@@ -152,30 +171,27 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
     when its own comparison phase ended (the relay phase consumes the live
     flags afterwards).  ``on_step`` observes every cycle of the run.
     """
-    cfg = tree.cfg
-    if cfg.mode is not Mode.SEARCH:
-        raise ValueError(f"tree is loaded for {cfg.mode.value}, not search")
-    w = cfg.topo.params.word_size
+    tree._check(Mode.SEARCH)
+    w = tree.topo.params.word_size
     if not 0 <= key < (1 << w):
         raise ValueError(f"key {key} out of range [0, 2^{w})")
-    cfg.root.word = key
-    cycles = _run(cfg, Mode.SEARCH, on_step)
+    if tree._planes is None:
+        tree.cfg.root.word = key
+    else:
+        tree._planes.root_word = key
+    cycles = _run(tree, Mode.SEARCH, on_step)
     matched: frozenset[int] = frozenset()
     if collect_matches:
-        matched = frozenset(
-            i for i in tree.occupied if cfg.nodes[i].phase1_match == 1
-        )
-    return SearchResult(found=cfg.root.flags.state, cycles=cycles,
+        matched = frozenset(i for i in tree.occupied if tree._bit("phase1_match", i))
+    return SearchResult(found=tree._bit("state", 0), cycles=cycles,
                         matched_nodes=matched)
 
 
 def _run_extremum(tree: LoadedTree, mode: Mode,
                   on_step: StepObserver | None) -> ExtremumResult:
-    cfg = tree.cfg
-    if cfg.mode is not mode:
-        raise ValueError(f"tree is loaded for {cfg.mode.value}, not {mode.value}")
-    cycles = _run(cfg, mode, on_step)
-    return ExtremumResult(value=cfg.root.word, cycles=cycles)
+    tree._check(mode)
+    cycles = _run(tree, mode, on_step)
+    return ExtremumResult(value=tree._root_word, cycles=cycles)
 
 
 def compute_max(tree: LoadedTree, on_step: StepObserver | None = None) -> ExtremumResult:
@@ -207,30 +223,29 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     if not elements:
         return SortResult(output=[], cycles_total=0, rounds=0, per_round_cycles=[])
 
-    tree = load_list(topo, elements, mode)
-    cfg = tree.cfg
     # Padding slots sit out the whole sort; only occupied nodes count for
     # termination, otherwise an empty slot would inject its padding word.
-    for i in range(len(elements) + 1, topo.n):
-        cfg.nodes[i].flags.perm_disabled = 1
-
+    tree = _load(topo, elements, mode, None, disable_padding=True)
     output: list[int] = []
     per_round: list[int] = []
     live = set(tree.occupied)
     while live:
-        cycles_a = _run(cfg, mode, on_step)
-        value = cfg.root.word
+        cycles_a = _run(tree, mode, on_step)
+        value = tree._root_word
 
-        cycles_b = _run(cfg, Mode.SEARCH, on_step, phase1_only=True)
+        cycles_b = _run(tree, Mode.SEARCH, on_step, phase1_only=True)
 
-        matched = [i for i in live if cfg.nodes[i].flags.match == 1]
+        matched = [i for i in live if tree._bit("match", i)]
         if not matched:
             raise ProtocolError(
                 f"sort round found no node holding {value}; live set {sorted(live)}"
             )
-        for i in matched:
-            cfg.nodes[i].flags.perm_disabled = 1
-            live.remove(i)
+        if tree._planes is not None:
+            tree._planes.disable(matched)
+        else:
+            for i in matched:
+                tree.cfg.nodes[i].flags.perm_disabled = 1
+        live.difference_update(matched)
         output.extend([value] * len(matched))
         per_round.append(cycles_a + cycles_b)
     return SortResult(

@@ -51,7 +51,7 @@ def parse_input(text: str, word_size: int) -> list[int]:
         for token_match in re.finditer(r"[^\s,]+", line):
             token = token_match.group()
             col = token_match.start() + 1
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise InputError(
                     f"line {lineno}, column {col}: {token!r} is not a "
                     "non-negative decimal integer"

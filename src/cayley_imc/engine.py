@@ -27,7 +27,7 @@ from .node import (
     send_max,
     send_search,
 )
-from .topology import CayleyTopology
+from .topology import CayleyTopology, TreeParams
 
 __all__ = [
     "Configuration",
@@ -224,13 +224,12 @@ def run_until_quiescent(
         if _quiescent(cfg):
             _validate_quiescent(cfg)
             return cfg, cfg.global_cycle - start
-    raise _budget_exhausted(cfg, max_cycles)
+    raise _budget_exhausted(cfg.mode, cfg.topo.params, max_cycles)
 
 
-def _budget_exhausted(cfg: Configuration, max_cycles: int) -> QuiescenceError:
-    p = cfg.topo.params
+def _budget_exhausted(mode: Mode, p: TreeParams, max_cycles: int) -> QuiescenceError:
     return QuiescenceError(
-        f"{cfg.mode.value} run not quiescent after {max_cycles} cycles "
+        f"{mode.value} run not quiescent after {max_cycles} cycles "
         f"(eta={p.eta}, h={p.height}, w={p.word_size})"
     )
 

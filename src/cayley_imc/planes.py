@@ -14,7 +14,8 @@ at position ``q`` of a level of size ``N`` then sit at ``q, q + N, q + 2N,
 ...`` of the next level, so combining child bits at their parents is one
 shift-and-OR per slot, and so is broadcasting a parent bit to its children.
 Word rotation is a change of plane index.  A cycle costs O(h * eta) big-int
-operations instead of O(n) Python calls.
+operations instead of O(n) Python calls.  The word and ``perm_disabled``
+planes can last from run to run, so a loaded tree needs no node objects.
 
 The rules below mirror the transition functions of ``node.py`` one for one;
 the tests compare every ``NodeState`` field after every cycle against the
@@ -26,21 +27,22 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter, or_
+from typing import Iterable, Sequence
 
 from .engine import Configuration, _budget_exhausted, _validate_quiescent
-from .node import Mode
+from .node import Mode, make_node
+from .topology import CayleyTopology
 
 __all__ = ["PlaneRun", "run"]
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TRUTH = b"0" + b"1" * 255  # flag byte to the digit of its truth value
-_word = attrgetter("word")
-_perm_disabled = attrgetter("flags.perm_disabled")
 
 
 @lru_cache(maxsize=32)
-def _layout(eta: int, height: int) -> tuple[tuple[int, ...], ...]:
-    """Node ids of every level, in slot-major position order.
+def _layout(eta: int, height: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """Node ids of every level, in slot-major position order, and the
+    depth and position of every node id.
 
     Breadth-first ids give the node at position 0 of a level the level's
     lowest id, and the children of its j-th node the j-th run of ``k``
@@ -51,7 +53,13 @@ def _layout(eta: int, height: int) -> tuple[tuple[int, ...], ...]:
         parents, k = levels[-1], (eta + 1 if d == 1 else eta)
         low, first = parents[0], parents[0] + len(parents)
         levels.append(tuple(first + (p - low) * k + s for s in range(k) for p in parents))
-    return tuple(levels)
+    return tuple(levels), {i: (d, p) for d, ids in enumerate(levels) for p, i in enumerate(ids)}
+
+
+def _unpack(planes: list[int], n: int) -> list[int]:
+    """Per position, the word whose bit j (MSB first) is its bit of ``planes[j]``."""
+    columns = [format(plane, f"0{n}b") for plane in planes]
+    return [int("".join(bits), 2) for bits in zip(*columns)][::-1]
 
 
 def _bits(plane: int, n: int) -> bytes:
@@ -87,52 +95,85 @@ def _spread(plane: int, n: int, k: int) -> int:
 class _Level:
     """One depth of the tree: per-node bit planes plus scalar control state.
 
-    ``rot`` counts the word's left rotations, which at the root is also its
-    ``writes`` counter.
+    ``words`` and ``perm`` (the ``perm_disabled`` flags) last from run to
+    run.  ``rot`` counts this run's word rotations (at the root, ``writes``).
     """
 
-    __slots__ = ("nodes", "values", "n", "mask", "k", "words", "rot", "shown_rot",
+    __slots__ = ("nodes", "n", "mask", "k", "words", "perm", "rot", "shown_rot",
                  "state", "start", "match", "link_mem", "links", "phase1_match",
                  "clock", "acted", "listen", "in_parent", "in_children")
 
-    def __init__(self, nodes: list, k: int, w: int) -> None:
-        self.nodes, self.k, self.n = nodes, k, len(nodes)
+    def __init__(self, values: list[int], perm: int, k: int, w: int) -> None:
+        self.n, self.k, self.perm = len(values), k, perm
         self.mask = (1 << self.n) - 1
-        self.values = list(map(_word, nodes))
         # Plane j holds word bit j (MSB first).  bin(v | 1 << w) spells every
         # word as "0b1" plus exactly w digits; reversing puts position 0 at
         # the low end of every int.
-        text = "".join(map(bin, map(or_, reversed(self.values), repeat(1 << w))))
+        text = "".join(map(bin, map(or_, reversed(values), repeat(1 << w))))
         self.words = [int(text[3 + j::w + 3], 2) for j in range(w)]
-        self.link_mem = int(bytes(map(_perm_disabled, reversed(nodes))).translate(_TRUTH), 2)
-        self.links = self.rot = self.shown_rot = self.clock = self.listen = 0
-        self.acted = False
-        self.phase1_match = self.in_parent = self.in_children = None
+        self.nodes, self.rot = None, 0
+
+    def aligned(self, w: int) -> list[int]:
+        """The word planes rotated so plane j holds bit j of the words as
+        they now stand."""
+        r = self.rot % w
+        return self.words[r:] + self.words[:r]
 
 
 class PlaneRun:
-    """One scheme run on bit planes, starting from the reset state.
+    """A tree's words and flags as bit planes, and the scheme runs on them.
 
-    The constructor packs the words and ``perm_disabled`` flags of
-    ``cfg.nodes`` and applies ``reset_flags`` for ``mode``.  ``step``
-    advances one global cycle; ``write_back`` stores the full per-node
-    state of the current cycle into ``cfg``.
+    The constructor packs ``cfg.nodes``, whose state ``write_back`` sets;
+    ``load`` packs ``load_list``'s inputs, with no ``cfg`` until
+    ``configuration`` builds one.  Both ``rearm`` for ``mode``.
     """
 
     def __init__(self, cfg: Configuration, mode: Mode, *,
                  phase1_only: bool = False) -> None:
+        self._pack(cfg.topo, list(map(attrgetter("word"), cfg.nodes)),
+                   list(map(attrgetter("flags.perm_disabled"), cfg.nodes)))
+        self.cfg = cfg
+        for lv, ids in zip(self.levels, self._layout):
+            lv.nodes = list(map(cfg.nodes.__getitem__, ids))
+        self.rearm(mode, phase1_only=phase1_only)
+
+    @classmethod
+    def load(cls, topo: CayleyTopology, mode: Mode, root_word: int,
+             elements: Sequence[int], pad_word: int, *, disable_padding: bool) -> PlaneRun:
+        """Node 0 holds ``root_word``, nodes 1..len(elements) the elements,
+        the rest ``pad_word``, permanently disabled if ``disable_padding``."""
+        run = cls.__new__(cls)
+        pad = topo.n - 1 - len(elements)
+        run._pack(topo, [root_word, *elements, *repeat(pad_word, pad)],
+                  bytes(1 + len(elements)) + bytes([disable_padding]) * pad)
+        run.cfg = None
+        run.rearm(mode)
+        return run
+
+    def _pack(self, topo: CayleyTopology, words: Sequence[int], perm: Sequence[int]) -> None:
+        p = topo.params
+        self.topo, self.w = topo, p.word_size
+        self._layout, self._where = _layout(p.eta, p.height)
+        last = len(self._layout) - 1
+        self.levels = [
+            _Level(list(map(words.__getitem__, ids)),
+                   int(bytes(map(perm.__getitem__, reversed(ids))).translate(_TRUTH), 2),
+                   0 if d == last else (p.eta + 1 if d == 0 else p.eta), self.w)
+            for d, ids in enumerate(self._layout)]
+
+    def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
+        """Apply ``reset_flags`` for ``mode`` to every level; the words keep
+        their value, and ``link_mem`` comes up from ``perm``."""
         if mode is Mode.IDLE:
             raise ValueError("cannot reset a node into idle mode")
-        p = cfg.topo.params
-        self.cfg, self.mode, self.phase1_only = cfg, mode, phase1_only
-        self.w = p.word_size
-        self.cycle = 0
-        layout = _layout(p.eta, p.height)
-        last = len(layout) - 1
-        self.levels = levels = []
-        for d, ids in enumerate(layout):
-            k = 0 if d == last else (p.eta + 1 if d == 0 else p.eta)
-            lv = _Level([cfg.nodes[i] for i in ids], k, self.w)
+        self.mode, self.phase1_only, self.cycle = mode, phase1_only, 0
+        last = len(self.levels) - 1
+        for d, lv in enumerate(self.levels):
+            lv.words = lv.aligned(self.w)
+            lv.link_mem = lv.perm
+            lv.links = lv.rot = lv.shown_rot = lv.clock = lv.listen = 0
+            lv.acted = False
+            lv.phase1_match = lv.in_parent = lv.in_children = None
             if mode is Mode.SEARCH:
                 lv.state = lv.start = 0 if d else 1
                 lv.match = lv.mask & ~lv.link_mem if d else 1
@@ -140,7 +181,42 @@ class PlaneRun:
                 lv.start = 1 if d == last and d else 0
                 lv.state = lv.mask * lv.start
                 lv.match = lv.mask
-            levels.append(lv)
+
+    @property
+    def root_word(self) -> int:
+        return _unpack(self.levels[0].aligned(self.w), 1)[0]
+
+    @root_word.setter
+    def root_word(self, word: int) -> None:
+        root, w = self.levels[0], self.w
+        root.words, root.rot = [(word >> (w - 1 - j)) & 1 for j in range(w)], 0
+
+    def bit(self, name: str, node: int) -> int:
+        """Node ``node``'s ``state``, ``match`` or ``phase1_match`` bit (0 if unset)."""
+        d, p = self._where[node]
+        plane = getattr(self.levels[d], name)
+        return 0 if plane is None else (plane >> p) & 1
+
+    def disable(self, nodes: Iterable[int]) -> None:
+        """Set ``perm_disabled`` on ``nodes``; the next ``rearm`` applies it."""
+        for i in nodes:
+            d, p = self._where[i]
+            self.levels[d].perm |= 1 << p
+
+    def configuration(self) -> Configuration:
+        """Build ``cfg``: node objects holding the current state, which is the
+        reset state if the run has not stepped since ``rearm``."""
+        topo, nodes = self.topo, []
+        for lv, ids in zip(self.levels, self._layout):
+            lv.nodes = list(map(make_node, repeat(topo), ids, _unpack(lv.aligned(self.w), lv.n)))
+            lv.shown_rot = lv.rot % self.w
+            for nd, perm in zip(lv.nodes, _bits(lv.perm, lv.n)):
+                nd.flags.perm_disabled = perm
+            nodes += lv.nodes
+        nodes.sort(key=attrgetter("id"))
+        self.cfg = Configuration(topo=topo, nodes=nodes)
+        self.write_back()
+        return self.cfg
 
     def step(self) -> None:
         """Advance one global cycle.
@@ -255,6 +331,25 @@ class PlaneRun:
         levels[0].acted = False
         self.cycle += 1
 
+    def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False) -> int:
+        """``rearm`` and step to quiescence; return the cycles.  ``cfg``, if
+        set, gets the final state, also on ``QuiescenceError``."""
+        self.rearm(mode, phase1_only=phase1_only)
+        try:
+            for _ in range(max_cycles):
+                self.step()
+                if self.quiescent():
+                    break
+            else:
+                raise _budget_exhausted(mode, self.topo.params, max_cycles)
+        finally:
+            if self.cfg is not None:
+                self.write_back()
+        if mode is Mode.SEARCH and not phase1_only and any(
+                lv.state or lv.match for lv in self.levels[1:]):
+            _validate_quiescent(self.cfg or self.configuration())  # names the node
+        return self.cycle
+
     def quiescent(self) -> bool:
         """``engine._quiescent``, on levels."""
         w, levels = self.w, self.levels
@@ -272,15 +367,10 @@ class PlaneRun:
         for d, lv in enumerate(self.levels):
             n, k, r = lv.n, lv.k, lv.rot % w
             if d == 0:
-                value = 0
-                for j in range(w):
-                    value = (value << 1) | lv.words[(j + r) % w]
-                lv.nodes[0].word = value
-            elif r != lv.shown_rot:
-                # The node objects still hold the words rotated by shown_rot.
-                top = (1 << w) - 1
-                for nd, v in zip(lv.nodes, lv.values):
-                    nd.word = ((v << r) | (v >> (w - r))) & top
+                lv.nodes[0].word = self.root_word
+            elif r != lv.shown_rot:  # the nodes hold the words rotated by shown_rot
+                for nd, v in zip(lv.nodes, _unpack(lv.aligned(w), n)):
+                    nd.word = v
                 lv.shown_rot = r
             start, clock, acted, listen, parent = \
                 lv.start, lv.clock, lv.acted, lv.listen, lv.in_parent
@@ -304,23 +394,9 @@ class PlaneRun:
 
 def run(cfg: Configuration, mode: Mode, max_cycles: int, *,
         phase1_only: bool = False) -> int:
-    """Reset ``cfg`` for ``mode`` and run it to quiescence on bit planes.
-
-    Same contract as ``reset_configuration`` followed by
-    ``run_until_quiescent``: returns the cycles used and leaves ``cfg`` in
-    the state the object engine would leave it in, also when the budget
-    runs out and ``QuiescenceError`` is raised.
-    """
+    """Reset ``cfg`` for ``mode`` and run it to quiescence on bit planes:
+    ``reset_configuration`` then ``run_until_quiescent``, without the
+    per-node steps."""
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-    pr = PlaneRun(cfg, mode, phase1_only=phase1_only)
-    for _ in range(max_cycles):
-        pr.step()
-        if pr.quiescent():
-            pr.write_back()
-            if mode is Mode.SEARCH and not phase1_only and any(
-                    lv.state or lv.match for lv in pr.levels[1:]):
-                _validate_quiescent(cfg)  # names the node that did not drain
-            return pr.cycle
-    pr.write_back()
-    raise _budget_exhausted(cfg, max_cycles)
+    return PlaneRun(cfg, mode).run(mode, max_cycles, phase1_only=phase1_only)

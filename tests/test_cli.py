@@ -29,6 +29,14 @@ class TestParseInput:
             parse_input("1 2\nx 4", 4)
         assert "line 2" in str(err.value)
 
+    # Unicode digits pass str.isdigit; only ASCII 0-9 spell a decimal integer.
+    @pytest.mark.parametrize("token", ["\u0663", "\u00b2"],
+                             ids=["arabic-indic-three", "superscript-two"])
+    def test_non_ascii_digit_reports_position(self, token):
+        with pytest.raises(InputError) as err:
+            parse_input(f"1 2\n{token} 4", 8)
+        assert "line 2, column 1" in str(err.value)
+
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             parse_input("-3", 8)

@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from cayley_imc import planes
+from cayley_imc import algorithms, planes
 from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
 from cayley_imc.engine import (
+    Configuration,
     QuiescenceError,
     _quiescent,
     reset_configuration,
@@ -22,7 +23,7 @@ from cayley_imc.engine import (
     snapshot,
     step,
 )
-from cayley_imc.node import Mode
+from cayley_imc.node import Mode, make_node
 from cayley_imc.oracle import oracle_sort_desc
 
 from conftest import cached_topology, full_state, random_elements
@@ -142,6 +143,76 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
                 assert full_state(pl.cfg) == full_state(obj.cfg)
 
 
+def _loaded_by_nodes(topo, els, mode, key=None):
+    """The state a load held when it built node objects: padding words,
+    perm_disabled on search padding, then the reset for ``mode``."""
+    pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
+    words = [key if mode is Mode.SEARCH else pad, *els] + [pad] * (topo.n - 1 - len(els))
+    cfg = Configuration(topo=topo, nodes=[make_node(topo, i, v) for i, v in enumerate(words)])
+    if mode is Mode.SEARCH:
+        for nd in cfg.nodes[len(els) + 1:]:
+            nd.flags.perm_disabled = 1
+    return reset_configuration(cfg, mode)
+
+
+@pytest.mark.parametrize("eta,h,w", SHAPES)
+def test_plane_form_trees_match_the_object_engine(eta, h, w):
+    """Runs on trees nobody has read stay in planes; reading ``cfg`` only at
+    the end must give the object engine's state, and straight after the
+    load the state a node-by-node load gives."""
+    topo = cached_topology(eta, h, w)
+    limit = 1 << w
+    for seed in SEEDS:
+        rng = random.Random(f"{seed}:{eta}:{h}:{w}:planes")
+        els = random_elements(rng, topo.n - 1, w, max_len=16)
+        for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
+            key = rng.randrange(limit)
+            fresh = load_list(topo, els, mode, key=key)
+            assert full_state(fresh.cfg) == full_state(_loaded_by_nodes(topo, els, mode, key))
+            tree = load_list(topo, els, mode, key=key)
+            twin = load_list(topo, els, mode, key=key)
+            for _ in range(rng.randint(3, 5)):
+                if mode is Mode.SEARCH:
+                    key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
+                    got = search(tree, key, collect_matches=True)
+                    assert got == search(twin, key, collect_matches=True, on_step=_ignore)
+                else:
+                    run = compute_max if mode is Mode.MAX else compute_min
+                    assert run(tree) == run(twin, on_step=_ignore)
+            assert tree._cfg is None, "the runs built node objects"
+            assert full_state(tree.cfg) == full_state(twin.cfg)
+
+
+@pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX])
+def test_budget_exhaustion_in_plane_form(topo_2_3_4, monkeypatch, mode):
+    run = (lambda t, **kw: search(t, 2, **kw)) if mode is Mode.SEARCH else compute_max
+    read, rerun, twin = (load_list(topo_2_3_4, [3, 1, 2], mode, key=0) for _ in range(3))
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, "default_cycle_budget", lambda topo: 3)
+        for tree in (read, rerun):
+            with pytest.raises(QuiescenceError):
+                run(tree)
+        with pytest.raises(QuiescenceError):
+            run(twin, on_step=_ignore)
+    assert full_state(read.cfg) == full_state(twin.cfg)
+    # The next run starts from the words the cut-off run left part rotated.
+    assert run(rerun) == run(twin, on_step=_ignore)
+    assert rerun._cfg is None
+    assert full_state(rerun.cfg) == full_state(twin.cfg)
+
+
+def test_a_held_configuration_stays_live(topo_2_3_4):
+    tree = load_list(topo_2_3_4, [3, 1, 2, 7], Mode.SEARCH, key=0)
+    search(tree, 3)
+    cfg = tree.cfg
+    for key in (2, 5):
+        found = search(tree, key).found
+        assert cfg.root.flags.state == found == (key == 2)
+    cfg.nodes[4].word = 5
+    assert search(tree, 5, collect_matches=True).matched_nodes == {4}
+    assert tree.cfg is cfg
+
+
 def test_budget_exhaustion_leaves_the_object_engine_state(topo_2_3_4):
     obj, pl = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
     reset_configuration(obj, Mode.SEARCH)
@@ -168,6 +239,12 @@ def test_runs_leave_no_reference_cycles(topo_2_3_4):
         compute_max(load_list(topo_2_3_4, els, Mode.MAX))
         compute_min(load_list(topo_2_3_4, els, Mode.MIN))
         sort(topo_2_3_4, els)
+        # Chained runs on trees nobody has read, then a first read of cfg.
+        chained = load_list(topo_2_3_4, els, Mode.SEARCH, key=0)
+        search(chained, 3)
+        search(chained, 5)
+        compute_max(load_list(topo_2_3_4, els, Mode.MAX))
+        assert chained.cfg.root.word == 5
         assert gc.collect() == 0
     finally:
         gc.enable()
