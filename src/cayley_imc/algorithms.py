@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
-from . import planes
 from .engine import (
     Configuration,
     ProtocolError,
@@ -25,6 +24,7 @@ from .engine import (
     run_until_quiescent,
 )
 from .node import Mode
+from .planes import LoadedTree
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -46,41 +46,6 @@ if TYPE_CHECKING:
     # Only type checkers build it: a subscripted Callable is cached inside
     # typing and would keep this module's classes alive after a reload.
     StepObserver = Callable[[Configuration, list[dict[str, int]] | None], None]
-
-
-class LoadedTree:
-    """One input list in a tree, ready to run.
-
-    The tree stays in bit planes (a ``planes.PlaneRun``) until ``cfg`` is
-    first read; from then on every run reads and writes ``cfg``.
-    """
-
-    def __init__(self, run: planes.PlaneRun, occupied: frozenset[int]) -> None:
-        self.topo, self.occupied = run.topo, occupied
-        self._planes: planes.PlaneRun | None = run
-        self._cfg: Configuration | None = None
-
-    @property
-    def cfg(self) -> Configuration:
-        if self._planes is not None:
-            self._cfg = self._planes.cfg or self._planes.configuration()
-            self._planes = None
-        return self._cfg
-
-    @property
-    def _root_word(self) -> int:
-        return self._cfg.root.word if self._planes is None else self._planes.root_word
-
-    def _bit(self, name: str, node: int) -> int:
-        if self._planes is not None:
-            return self._planes.bit(name, node)
-        nd = self._cfg.nodes[node]
-        return (nd.phase1_match or 0) if name == "phase1_match" else getattr(nd.flags, name)
-
-    def _check(self, mode: Mode) -> None:
-        loaded = self._cfg.mode if self._planes is None else self._planes.mode
-        if loaded is not mode:
-            raise ValueError(f"tree is loaded for {loaded.value}, not {mode.value}")
 
 
 @dataclass(frozen=True)
@@ -139,23 +104,21 @@ def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
             raise ValueError(f"key {key} out of range [0, 2^{w})")
     pad_word = limit - 1 if mode is Mode.MIN else 0
     root_word = key if mode is Mode.SEARCH else pad_word
-    run = planes.PlaneRun.load(topo, mode, root_word, elements, pad_word,
-                               disable_padding=disable_padding)
-    return LoadedTree(run, frozenset(range(1, len(elements) + 1)))
+    return LoadedTree.load(topo, mode, root_word, elements, pad_word,
+                           disable_padding=disable_padding)
 
 
 def _run(tree: LoadedTree, mode: Mode, on_step: StepObserver | None = None, *,
          phase1_only: bool = False) -> int:
     """Reset ``tree`` for ``mode`` and run it to quiescence; return the cycles.
 
-    Without an observer the bit-plane engine runs the whole segment, in the
-    tree's own planes while it is in plane form.  With one, the object
-    engine steps it so the observer sees every cycle.
+    Without an observer the tree runs the whole segment on its bit planes.
+    With one, the object engine steps ``tree.cfg`` so the observer sees
+    every cycle.
     """
     budget = default_cycle_budget(tree.topo)
     if on_step is None:
-        run = tree._planes or planes.PlaneRun(tree.cfg, mode)
-        return run.run(mode, budget, phase1_only=phase1_only)
+        return tree.run(mode, budget, phase1_only=phase1_only)
     cfg = tree.cfg
     reset_configuration(cfg, mode, phase1_only=phase1_only)
     on_step(cfg, None)
@@ -171,27 +134,24 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
     when its own comparison phase ended (the relay phase consumes the live
     flags afterwards).  ``on_step`` observes every cycle of the run.
     """
-    tree._check(Mode.SEARCH)
+    tree.check_mode(Mode.SEARCH)
     w = tree.topo.params.word_size
     if not 0 <= key < (1 << w):
         raise ValueError(f"key {key} out of range [0, 2^{w})")
-    if tree._planes is None:
-        tree.cfg.root.word = key
-    else:
-        tree._planes.root_word = key
+    tree.root_word = key
     cycles = _run(tree, Mode.SEARCH, on_step)
     matched: frozenset[int] = frozenset()
     if collect_matches:
-        matched = frozenset(i for i in tree.occupied if tree._bit("phase1_match", i))
-    return SearchResult(found=tree._bit("state", 0), cycles=cycles,
+        matched = frozenset(i for i in tree.occupied if tree.bit("phase1_match", i))
+    return SearchResult(found=tree.bit("state", 0), cycles=cycles,
                         matched_nodes=matched)
 
 
 def _run_extremum(tree: LoadedTree, mode: Mode,
                   on_step: StepObserver | None) -> ExtremumResult:
-    tree._check(mode)
+    tree.check_mode(mode)
     cycles = _run(tree, mode, on_step)
-    return ExtremumResult(value=tree._root_word, cycles=cycles)
+    return ExtremumResult(value=tree.root_word, cycles=cycles)
 
 
 def compute_max(tree: LoadedTree, on_step: StepObserver | None = None) -> ExtremumResult:
@@ -231,20 +191,16 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     live = set(tree.occupied)
     while live:
         cycles_a = _run(tree, mode, on_step)
-        value = tree._root_word
+        value = tree.root_word
 
         cycles_b = _run(tree, Mode.SEARCH, on_step, phase1_only=True)
 
-        matched = [i for i in live if tree._bit("match", i)]
+        matched = [i for i in live if tree.bit("match", i)]
         if not matched:
             raise ProtocolError(
                 f"sort round found no node holding {value}; live set {sorted(live)}"
             )
-        if tree._planes is not None:
-            tree._planes.disable(matched)
-        else:
-            for i in matched:
-                tree.cfg.nodes[i].flags.perm_disabled = 1
+        tree.disable(matched)
         live.difference_update(matched)
         output.extend([value] * len(matched))
         per_round.append(cycles_a + cycles_b)

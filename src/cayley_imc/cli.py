@@ -36,6 +36,16 @@ class InputError(ValueError):
     """Bad input text or inconsistent run parameters."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``InputError``, so they end in exit status 1 with
+    one line, not argparse's usage block and exit status 2.  Subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        # Unrecognized arguments are quoted raw; keep the message one line.
+        raise InputError(message.replace("\n", "\\n"))
+
+
 def parse_input(text: str, word_size: int) -> list[int]:
     """Parse a list of non-negative decimal integers.
 
@@ -242,17 +252,17 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
     total = 0
     for seg_idx, (meta, events) in enumerate(segments):
         cfg = configuration_from_events(meta, events)
-        replayed = [e.to_json() for e in engine.snapshot(cfg)]
+        # An event's fields as a dict equal the record its JSON line parses to.
+        replayed = [e._asdict() for e in engine.snapshot(cfg)]
         budget = engine.default_cycle_budget(cfg.topo)
 
         def on_step(c, emissions):
-            replayed.extend(e.to_json() for e in engine.snapshot(c, emissions))
+            replayed.extend(e._asdict() for e in engine.snapshot(c, emissions))
 
         engine.run_until_quiescent(cfg, budget, on_step)
-        replayed_parsed = [json.loads(line) for line in replayed]
-        if replayed_parsed != events:
+        if replayed != events:
             print(f"trace: segment {seg_idx} diverges from replay")
-            for i, (a, b) in enumerate(zip(events, replayed_parsed)):
+            for i, (a, b) in enumerate(zip(events, replayed)):
                 if a != b:
                     print(f"  first difference at event {i}:")
                     print(f"    recorded: {json.dumps(a, separators=(',', ':'))}")
@@ -260,7 +270,7 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
                     break
             else:
                 print(f"  recorded {len(events)} events, replay produced "
-                      f"{len(replayed_parsed)}")
+                      f"{len(replayed)}")
             return EXIT_DIVERGENCE
         total += len(events)
     print(f"trace: {len(segments)} segment(s), {total} events, replay matches")
@@ -311,7 +321,7 @@ def _add_common(p: argparse.ArgumentParser, *, with_inputs: bool = True) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayley-imc",
         description="Cycle-accurate simulator of a Cayley-tree in-memory "
                     "computing platform",
@@ -350,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Checked before anything computes 1 << word_size.
         word_size = getattr(args, "word_size", 1)
         if not 1 <= word_size <= MAX_WORD_SIZE:

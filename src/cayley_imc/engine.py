@@ -88,7 +88,7 @@ class TraceEvent(NamedTuple):
     start: int
     match: int
     l_m: int
-    l_children: tuple[int, ...]
+    l_children: list[int]
     perm_disabled: int
     emitted: dict[str, int]
 
@@ -251,7 +251,7 @@ def snapshot(cfg: Configuration,
             start=f.start,
             match=f.match,
             l_m=f.link_mem,
-            l_children=tuple(f.link_child),
+            l_children=list(f.link_child),
             perm_disabled=f.perm_disabled,
             emitted=dict(emissions[n.id]) if emissions is not None else {},
         ))

@@ -33,7 +33,7 @@ from .engine import Configuration, _budget_exhausted, _validate_quiescent
 from .node import Mode, make_node
 from .topology import CayleyTopology
 
-__all__ = ["PlaneRun", "run"]
+__all__ = ["LoadedTree"]
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TRUTH = b"0" + b"1" * 255  # flag byte to the digit of its truth value
@@ -120,40 +120,36 @@ class _Level:
         return self.words[r:] + self.words[:r]
 
 
-class PlaneRun:
-    """A tree's words and flags as bit planes, and the scheme runs on them.
+class LoadedTree:
+    """One input list in a tree, ready to run: its words and flags as bit
+    planes, and the scheme runs on them.
 
-    The constructor packs ``cfg.nodes``, whose state ``write_back`` sets;
-    ``load`` packs ``load_list``'s inputs, with no ``cfg`` until
-    ``configuration`` builds one.  Both ``rearm`` for ``mode``.
+    ``load`` is the only constructor.  The tree stays in planes until ``cfg``
+    is first read, which builds node objects holding the current state.
+    From then on the tree is in object form: every ``rearm`` packs the words
+    and ``perm_disabled`` flags from ``cfg``, every plane run writes every
+    node's state back, and results are read from ``cfg``, so a
+    configuration or node a caller holds is never stale.
     """
-
-    def __init__(self, cfg: Configuration, mode: Mode, *,
-                 phase1_only: bool = False) -> None:
-        self._pack(cfg.topo, list(map(attrgetter("word"), cfg.nodes)),
-                   list(map(attrgetter("flags.perm_disabled"), cfg.nodes)))
-        self.cfg = cfg
-        for lv, ids in zip(self.levels, self._layout):
-            lv.nodes = list(map(cfg.nodes.__getitem__, ids))
-        self.rearm(mode, phase1_only=phase1_only)
 
     @classmethod
     def load(cls, topo: CayleyTopology, mode: Mode, root_word: int,
-             elements: Sequence[int], pad_word: int, *, disable_padding: bool) -> PlaneRun:
+             elements: Sequence[int], pad_word: int, *, disable_padding: bool) -> LoadedTree:
         """Node 0 holds ``root_word``, nodes 1..len(elements) the elements,
         the rest ``pad_word``, permanently disabled if ``disable_padding``."""
-        run = cls.__new__(cls)
-        pad = topo.n - 1 - len(elements)
-        run._pack(topo, [root_word, *elements, *repeat(pad_word, pad)],
-                  bytes(1 + len(elements)) + bytes([disable_padding]) * pad)
-        run.cfg = None
-        run.rearm(mode)
-        return run
-
-    def _pack(self, topo: CayleyTopology, words: Sequence[int], perm: Sequence[int]) -> None:
+        tree = cls()
         p = topo.params
-        self.topo, self.w = topo, p.word_size
-        self._layout, self._where = _layout(p.eta, p.height)
+        tree.topo, tree.w, tree._cfg = topo, p.word_size, None
+        tree._layout, tree._where = _layout(p.eta, p.height)
+        tree.occupied = frozenset(range(1, len(elements) + 1))
+        pad = topo.n - 1 - len(elements)
+        tree._pack([root_word, *elements, *repeat(pad_word, pad)],
+                   bytes(1 + len(elements)) + bytes([disable_padding]) * pad)
+        tree.rearm(mode)
+        return tree
+
+    def _pack(self, words: Sequence[int], perm: Sequence[int]) -> None:
+        p = self.topo.params
         last = len(self._layout) - 1
         self.levels = [
             _Level(list(map(words.__getitem__, ids)),
@@ -166,6 +162,12 @@ class PlaneRun:
         their value, and ``link_mem`` comes up from ``perm``."""
         if mode is Mode.IDLE:
             raise ValueError("cannot reset a node into idle mode")
+        cfg = self._cfg
+        if cfg is not None:
+            self._pack(list(map(attrgetter("word"), cfg.nodes)),
+                       list(map(attrgetter("flags.perm_disabled"), cfg.nodes)))
+            for lv, ids in zip(self.levels, self._layout):
+                lv.nodes = list(map(cfg.nodes.__getitem__, ids))
         self.mode, self.phase1_only, self.cycle = mode, phase1_only, 0
         last = len(self.levels) - 1
         for d, lv in enumerate(self.levels):
@@ -183,16 +185,48 @@ class PlaneRun:
                 lv.match = lv.mask
 
     @property
+    def cfg(self) -> Configuration:
+        """The tree as node objects.  The first read builds them holding the
+        current state, which is the reset state if nothing has stepped since
+        ``rearm``."""
+        if self._cfg is None:
+            topo, nodes = self.topo, []
+            for lv, ids in zip(self.levels, self._layout):
+                lv.nodes = list(map(make_node, repeat(topo), ids, _unpack(lv.aligned(self.w), lv.n)))
+                lv.shown_rot = lv.rot % self.w
+                for nd, perm in zip(lv.nodes, _bits(lv.perm, lv.n)):
+                    nd.flags.perm_disabled = perm
+                nodes += lv.nodes
+            nodes.sort(key=attrgetter("id"))
+            self._cfg = Configuration(topo=topo, nodes=nodes)
+            self.write_back()
+        return self._cfg
+
+    def check_mode(self, mode: Mode) -> None:
+        """Refuse a run in a mode other than the one last loaded or reset."""
+        loaded = self.mode if self._cfg is None else self._cfg.mode
+        if loaded is not mode:
+            raise ValueError(f"tree is loaded for {loaded.value}, not {mode.value}")
+
+    @property
     def root_word(self) -> int:
+        if self._cfg is not None:
+            return self._cfg.root.word
         return _unpack(self.levels[0].aligned(self.w), 1)[0]
 
     @root_word.setter
     def root_word(self, word: int) -> None:
+        if self._cfg is not None:
+            self._cfg.root.word = word
+            return
         root, w = self.levels[0], self.w
         root.words, root.rot = [(word >> (w - 1 - j)) & 1 for j in range(w)], 0
 
     def bit(self, name: str, node: int) -> int:
         """Node ``node``'s ``state``, ``match`` or ``phase1_match`` bit (0 if unset)."""
+        if self._cfg is not None:
+            nd = self._cfg.nodes[node]
+            return (nd.phase1_match or 0) if name == "phase1_match" else getattr(nd.flags, name)
         d, p = self._where[node]
         plane = getattr(self.levels[d], name)
         return 0 if plane is None else (plane >> p) & 1
@@ -200,23 +234,11 @@ class PlaneRun:
     def disable(self, nodes: Iterable[int]) -> None:
         """Set ``perm_disabled`` on ``nodes``; the next ``rearm`` applies it."""
         for i in nodes:
-            d, p = self._where[i]
-            self.levels[d].perm |= 1 << p
-
-    def configuration(self) -> Configuration:
-        """Build ``cfg``: node objects holding the current state, which is the
-        reset state if the run has not stepped since ``rearm``."""
-        topo, nodes = self.topo, []
-        for lv, ids in zip(self.levels, self._layout):
-            lv.nodes = list(map(make_node, repeat(topo), ids, _unpack(lv.aligned(self.w), lv.n)))
-            lv.shown_rot = lv.rot % self.w
-            for nd, perm in zip(lv.nodes, _bits(lv.perm, lv.n)):
-                nd.flags.perm_disabled = perm
-            nodes += lv.nodes
-        nodes.sort(key=attrgetter("id"))
-        self.cfg = Configuration(topo=topo, nodes=nodes)
-        self.write_back()
-        return self.cfg
+            if self._cfg is not None:
+                self._cfg.nodes[i].flags.perm_disabled = 1
+            else:
+                d, p = self._where[i]
+                self.levels[d].perm |= 1 << p
 
     def step(self) -> None:
         """Advance one global cycle.
@@ -332,8 +354,8 @@ class PlaneRun:
         self.cycle += 1
 
     def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False) -> int:
-        """``rearm`` and step to quiescence; return the cycles.  ``cfg``, if
-        set, gets the final state, also on ``QuiescenceError``."""
+        """``rearm`` and step to quiescence; return the cycles.  A tree in
+        object form gets the final state, also on ``QuiescenceError``."""
         self.rearm(mode, phase1_only=phase1_only)
         try:
             for _ in range(max_cycles):
@@ -343,11 +365,11 @@ class PlaneRun:
             else:
                 raise _budget_exhausted(mode, self.topo.params, max_cycles)
         finally:
-            if self.cfg is not None:
+            if self._cfg is not None:
                 self.write_back()
         if mode is Mode.SEARCH and not phase1_only and any(
                 lv.state or lv.match for lv in self.levels[1:]):
-            _validate_quiescent(self.cfg or self.configuration())  # names the node
+            _validate_quiescent(self.cfg)  # names the node
         return self.cycle
 
     def quiescent(self) -> bool:
@@ -361,13 +383,13 @@ class PlaneRun:
 
     def write_back(self) -> None:
         """Store every node's state, as the object engine would hold it."""
-        cfg, w = self.cfg, self.w
+        cfg, w = self._cfg, self.w
         cfg.mode, cfg.global_cycle, cfg.phase1_only = self.mode, self.cycle, self.phase1_only
         neutral = 1 if self.mode is Mode.MIN else 0
         for d, lv in enumerate(self.levels):
             n, k, r = lv.n, lv.k, lv.rot % w
             if d == 0:
-                lv.nodes[0].word = self.root_word
+                lv.nodes[0].word = _unpack(lv.aligned(w), 1)[0]
             elif r != lv.shown_rot:  # the nodes hold the words rotated by shown_rot
                 for nd, v in zip(lv.nodes, _unpack(lv.aligned(w), n)):
                     nd.word = v
@@ -391,12 +413,3 @@ class PlaneRun:
                 ib.parent, ib.child_count = parent, child_count
                 ib.children[:] = inbox
 
-
-def run(cfg: Configuration, mode: Mode, max_cycles: int, *,
-        phase1_only: bool = False) -> int:
-    """Reset ``cfg`` for ``mode`` and run it to quiescence on bit planes:
-    ``reset_configuration`` then ``run_until_quiescent``, without the
-    per-node steps."""
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-    return PlaneRun(cfg, mode).run(mode, max_cycles, phase1_only=phase1_only)

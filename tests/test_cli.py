@@ -274,13 +274,20 @@ class TestTrace:
         lines = path.read_text().splitlines()
         # flip a word value on some mid-run event line
         idx = len(lines) // 2
-        event = json.loads(lines[idx])
+        written = lines[idx]
+        event = json.loads(written)
         event["word"] ^= 1
         lines[idx] = json.dumps(event, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         status, out, _ = run_cli(capsys, "trace", str(path))
         assert status == 2
-        assert "diverges" in out
+        # Line 0 is the segment header, so event numbers are one behind.
+        assert out.splitlines() == [
+            "trace: segment 0 diverges from replay",
+            f"  first difference at event {idx - 1}:",
+            f"    recorded: {lines[idx]}",
+            f"    replayed: {written}",
+        ]
 
     def test_missing_file(self, capsys):
         status, _, err = run_cli(capsys, "trace", "/nonexistent/file.trace")
@@ -367,6 +374,27 @@ def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and needle in err, err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("max", "--eta", "x"), "invalid int value"),
+    (("search", "--list", "1", "--key"), "expected one argument"),
+    (("sort", "--list", "1", "--order", "up"), "invalid choice"),
+    ((), "required"),
+    (("max", "--list", "1", "--bogus", "a\nb"), "unrecognized arguments"),
+])
+def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("sort", "-h")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage: cayley-imc" in capsys.readouterr().out
 
 
 class TestBench:

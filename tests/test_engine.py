@@ -159,6 +159,13 @@ def test_trace_event_field_set(topo_2_3_4):
     }
 
 
+def test_trace_event_fields_equal_its_parsed_json_line(topo_2_3_4):
+    # Trace replay compares events with parsed records field by field.
+    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).cfg
+    events = snapshot(cfg, step(cfg, capture=True))
+    assert [json.loads(e.to_json()) for e in events] == [e._asdict() for e in events]
+
+
 def test_emitted_ports_in_trace(topo_2_3_4):
     cfg = _search_cfg(topo_2_3_4)
     emissions = step(cfg, capture=True)

@@ -24,10 +24,7 @@ def _main(*argv):
     """Run ``cli.main``; return (status, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            status = exc.code
+        status = cli.main(list(argv))  # usage errors too return, with status 1
     return status, out.getvalue(), err.getvalue()
 
 
@@ -53,7 +50,9 @@ _TOKENS = st.one_of(st.integers(0, 300).map(str),
 
 @st.composite
 def _argv(draw):
-    """A subcommand plus options; trees stay under about 2,000 nodes."""
+    """A subcommand plus options; trees stay under about 2,000 nodes.  About
+    one option value in ten is not an integer, and about one argv in ten
+    carries an unknown option."""
     command = draw(st.sampled_from(("search", "max", "min", "sort", "info")))
     argv = [command]
     if draw(st.booleans()):
@@ -66,7 +65,10 @@ def _argv(draw):
         options.append(("--key", st.integers(-2, 300)))
     for flag, values in options:
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
+            value = draw(values) if draw(st.integers(0, 9)) else "x"
+            argv.append(f"{flag}={value}")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
     return argv
 
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from cayley_imc import algorithms, planes
+from cayley_imc import algorithms
 from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
 from cayley_imc.engine import (
     Configuration,
@@ -41,29 +41,31 @@ def _lines(cfg):
     return [e.to_json() for e in snapshot(cfg)]
 
 
-def _lockstep(obj, pl, mode, phase1_only=False) -> int:
-    """Run ``mode`` on both engines from the reset state, comparing the
-    full state after every cycle; return the cycles to quiescence."""
+def _lockstep(obj, tree, mode, phase1_only=False) -> int:
+    """Run ``mode`` on the object engine over ``obj`` and on the planes of
+    ``tree``, in object form, from the reset state, comparing the full
+    state after every cycle; return the cycles to quiescence."""
     reset_configuration(obj, mode, phase1_only=phase1_only)
-    run = planes.PlaneRun(pl, mode, phase1_only=phase1_only)
+    pl = tree.cfg
+    tree.rearm(mode, phase1_only=phase1_only)
     cycles = 0
     while True:
-        run.write_back()
+        tree.write_back()
         where = (mode, phase1_only, cycles)
         assert full_state(pl) == full_state(obj), where
         assert _lines(pl) == _lines(obj), where
-        done = run.quiescent()
+        done = tree.quiescent()
         assert done == _quiescent(obj), where
         if done:
             return cycles
         step(obj)
-        run.step()
+        tree.step()
         cycles += 1
 
 
 def _twins(topo, els, mode, key=None):
-    return (load_list(topo, els, mode, key=key).cfg,
-            load_list(topo, els, mode, key=key).cfg)
+    """A configuration for the object engine and a tree for the planes."""
+    return load_list(topo, els, mode, key=key).cfg, load_list(topo, els, mode, key=key)
 
 
 def _disable_some(rng, topo, *cfgs):
@@ -89,7 +91,7 @@ def test_every_cycle_matches_the_object_engine(eta, h, w):
 
         for mode in (Mode.MAX, Mode.MIN):
             obj, pl = _twins(topo, els, mode)
-            _disable_some(rng, topo, obj, pl)
+            _disable_some(rng, topo, obj, pl.cfg)
             assert _lockstep(obj, pl, mode) == w + h
 
 
@@ -103,7 +105,7 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
         obj, pl = _twins(topo, els, mode)
         # As in sort(): padding slots sit out every round.
         for i in range(len(els) + 1, topo.n):
-            obj.nodes[i].flags.perm_disabled = pl.nodes[i].flags.perm_disabled = 1
+            obj.nodes[i].flags.perm_disabled = pl.cfg.nodes[i].flags.perm_disabled = 1
         live = set(range(1, len(els) + 1))
         output = []
         while live:
@@ -113,7 +115,7 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
             matched = [i for i in live if obj.nodes[i].flags.match == 1]
             assert matched
             for i in matched:
-                obj.nodes[i].flags.perm_disabled = pl.nodes[i].flags.perm_disabled = 1
+                obj.nodes[i].flags.perm_disabled = pl.cfg.nodes[i].flags.perm_disabled = 1
                 live.remove(i)
             output += [value] * len(matched)
         expected = oracle_sort_desc(els)
@@ -214,15 +216,14 @@ def test_a_held_configuration_stays_live(topo_2_3_4):
 
 
 def test_budget_exhaustion_leaves_the_object_engine_state(topo_2_3_4):
-    obj, pl = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
+    obj, tree = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
+    pl = tree.cfg
     reset_configuration(obj, Mode.SEARCH)
     with pytest.raises(QuiescenceError):
         run_until_quiescent(obj, 3)
     with pytest.raises(QuiescenceError):
-        planes.run(pl, Mode.SEARCH, 3)
+        tree.run(Mode.SEARCH, 3)
     assert full_state(pl) == full_state(obj)
-    with pytest.raises(ValueError):
-        planes.run(pl, Mode.SEARCH, 0)
 
 
 def test_runs_leave_no_reference_cycles(topo_2_3_4):
