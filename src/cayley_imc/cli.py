@@ -23,7 +23,7 @@ from . import algorithms, engine, oracle
 from .node import Mode
 from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        node_count, required_height)
-from .tracefile import configuration_from_events, parse_trace, trace_header
+from .tracefile import configuration_from_events, parse_trace, split_trace, trace_header
 
 __all__ = ["main", "parse_input"]
 
@@ -127,10 +127,10 @@ def _call_traced(run, path: str | None):
     with open(path, "w", encoding="utf-8") as fh:
         def on_step(cfg: engine.Configuration,
                     emissions: list[dict[str, int]] | None) -> None:
+            lines = [ev.to_json() for ev in engine.snapshot(cfg, emissions)]
             if emissions is None:
-                fh.write(trace_header(cfg) + "\n")
-            for ev in engine.snapshot(cfg, emissions):
-                fh.write(ev.to_json() + "\n")
+                lines.insert(0, trace_header(cfg))
+            fh.write("\n".join(lines) + "\n")
 
         return run(on_step=on_step)
 
@@ -243,36 +243,59 @@ def _run_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _replay(meta: dict, events: list[dict], encode) -> list:
+    """Rebuild a segment's cycle-0 state, rerun it, and encode every event."""
+    cfg = configuration_from_events(meta, events)
+    out = [encode(e) for e in engine.snapshot(cfg)]
+
+    def on_step(c, emissions):
+        out.extend([encode(e) for e in engine.snapshot(c, emissions)])
+
+    engine.run_until_quiescent(cfg, engine.default_cycle_budget(cfg.topo), on_step)
+    return out
+
+
 def _run_trace_verify(args: argparse.Namespace) -> int:
-    """Replay each trace segment from its cycle-0 snapshot and compare."""
-    with open(args.trace_file, "r", encoding="utf-8") as fh:
-        segments = parse_trace(fh)
-    if not segments:
-        raise InputError(f"{args.trace_file}: no trace segments found")
-    total = 0
-    for seg_idx, (meta, events) in enumerate(segments):
-        cfg = configuration_from_events(meta, events)
-        # An event's fields as a dict equal the record its JSON line parses to.
-        replayed = [e._asdict() for e in engine.snapshot(cfg)]
-        budget = engine.default_cycle_budget(cfg.topo)
+    """Replay each trace segment from its cycle-0 snapshot and compare.
 
-        def on_step(c, emissions):
-            replayed.extend(e._asdict() for e in engine.snapshot(c, emissions))
-
-        engine.run_until_quiescent(cfg, budget, on_step)
-        if replayed != events:
-            print(f"trace: segment {seg_idx} diverges from replay")
-            for i, (a, b) in enumerate(zip(events, replayed)):
-                if a != b:
-                    print(f"  first difference at event {i}:")
-                    print(f"    recorded: {json.dumps(a, separators=(',', ':'))}")
-                    print(f"    replayed: {json.dumps(b, separators=(',', ':'))}")
-                    break
-            else:
-                print(f"  recorded {len(events)} events, replay produced "
-                      f"{len(replayed)}")
-            return EXIT_DIVERGENCE
-        total += len(events)
+    Lines are compared as text first, parsing only the headers and the
+    leading cycle-0 lines the rebuild reads.  On any difference or error the
+    file is parsed and compared record by record, so a reformatted but equal
+    file still matches, and errors and divergences are reported from there.
+    """
+    try:
+        with open(args.trace_file, "r", encoding="utf-8") as fh:
+            segments = split_trace(fh)
+        matches = bool(segments)
+        for meta, lines in segments:
+            n = node_count(meta["eta"], meta["height"])  # one cycle-0 line per node
+            initial = [json.loads(s) for s in lines[:n]]
+            if _replay(meta, initial, engine.TraceEvent.to_json) != lines:
+                matches = False
+                break
+    except Exception:  # the parsed comparison below raises or reports it again
+        matches = False
+    if not matches:
+        with open(args.trace_file, "r", encoding="utf-8") as fh:
+            segments = parse_trace(fh)
+        if not segments:
+            raise InputError(f"{args.trace_file}: no trace segments found")
+        for seg_idx, (meta, events) in enumerate(segments):
+            # An event's fields as a dict equal the record its JSON line parses to.
+            replayed = _replay(meta, events, engine.TraceEvent._asdict)
+            if replayed != events:
+                print(f"trace: segment {seg_idx} diverges from replay")
+                for i, (a, b) in enumerate(zip(events, replayed)):
+                    if a != b:
+                        print(f"  first difference at event {i}:")
+                        print(f"    recorded: {json.dumps(a, separators=(',', ':'))}")
+                        print(f"    replayed: {json.dumps(b, separators=(',', ':'))}")
+                        break
+                else:
+                    print(f"  recorded {len(events)} events, replay produced "
+                          f"{len(replayed)}")
+                return EXIT_DIVERGENCE
+    total = sum(len(events) for _, events in segments)
     print(f"trace: {len(segments)} segment(s), {total} events, replay matches")
     return EXIT_OK
 

@@ -14,7 +14,6 @@ for search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -27,7 +26,7 @@ from .node import (
     send_max,
     send_search,
 )
-from .topology import CayleyTopology, TreeParams
+from .topology import CayleyTopology, Role, TreeParams
 
 __all__ = [
     "Configuration",
@@ -93,7 +92,15 @@ class TraceEvent(NamedTuple):
     emitted: dict[str, int]
 
     def to_json(self) -> str:
-        return json.dumps(self._asdict(), separators=(",", ":"))
+        """Compact JSON in field order: what ``json.dumps(self._asdict(),
+        separators=(",", ":"))`` writes for the values the engine records."""
+        (cycle, node, depth, role, word, state, start, match, l_m, l_children,
+         perm_disabled, emitted) = self
+        em = ",".join([f'"{k}":{v}' for k, v in emitted.items()]) if emitted else ""
+        return (f'{{"cycle":{cycle},"node":{node},"depth":{depth},"role":"{role}",'
+                f'"word":{word},"state":{state},"start":{start},"match":{match},'
+                f'"l_m":{l_m},"l_children":{str(l_children).replace(" ", "")},'
+                f'"perm_disabled":{perm_disabled},"emitted":{{{em}}}}}')
 
 
 def reset_configuration(cfg: Configuration, mode: Mode, *,
@@ -237,22 +244,15 @@ def _budget_exhausted(mode: Mode, p: TreeParams, max_cycles: int) -> QuiescenceE
 def snapshot(cfg: Configuration,
              emissions: list[dict[str, int]] | None = None) -> list[TraceEvent]:
     """One TraceEvent per node for the current cycle, values copied."""
-    topo = cfg.topo
+    cycle = cfg.global_cycle
+    # A node's role follows from its depth: root, intermediate levels, leaves.
+    roles = ((Role.ROOT.value,) + (Role.INTERMEDIATE.value,) * (cfg.topo.params.height - 2)
+             + (Role.LEAF.value,))
     events = []
     for n in cfg.nodes:
         f = n.flags
         events.append(TraceEvent(
-            cycle=cfg.global_cycle,
-            node=n.id,
-            depth=n.depth,
-            role=topo.role_of[n.id].value,
-            word=n.word,
-            state=f.state,
-            start=f.start,
-            match=f.match,
-            l_m=f.link_mem,
-            l_children=list(f.link_child),
-            perm_disabled=f.perm_disabled,
-            emitted=dict(emissions[n.id]) if emissions is not None else {},
-        ))
+            cycle, n.id, n.depth, roles[n.depth], n.word, f.state, f.start, f.match,
+            f.link_mem, f.link_child[:], f.perm_disabled,
+            dict(emissions[n.id]) if emissions is not None else {}))
     return events

@@ -17,7 +17,7 @@ from .engine import Configuration
 from .node import Mode, NodeState, make_node
 from .topology import TreeParams, build_topology, node_count
 
-__all__ = ["trace_header", "parse_trace", "configuration_from_events"]
+__all__ = ["trace_header", "split_trace", "parse_trace", "configuration_from_events"]
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 
@@ -34,27 +34,37 @@ def trace_header(cfg: Configuration) -> str:
     return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
 
 
-def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
-    """Split a trace stream into (header meta, event dict) segments."""
-    segments: list[tuple[dict, list[dict]]] = []
+def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
+    """Split a trace stream into (header meta, events) segments.
+
+    Each stripped event line goes through ``parse_event``: kept as text by
+    default, so a caller can compare lines without parsing them.
+    """
+    segments: list[tuple[dict, list]] = []
     lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith(_HEADER_PREFIX):
-                segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
-                continue
-            if line.startswith("#"):
+            if line[0] == "#":
+                if line.startswith(_HEADER_PREFIX):
+                    segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
                 continue
             if not segments:
                 raise ValueError(f"trace line {lineno}: event before any segment header")
-            segments[-1][1].append(json.loads(line))
+            segments[-1][1].append(parse_event(line))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"trace line {lineno}: {exc}") from None
     except RecursionError:
         # json raises this, not a ValueError, on deeply nested arrays.
         raise ValueError(f"trace line {lineno}: JSON nested too deeply") from None
     return segments
+
+
+def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
+    """Split a trace stream into (header meta, event dict) segments."""
+    return split_trace(lines, json.loads)
 
 
 _FLAG_FIELDS = ("state", "start", "match", "l_m", "perm_disabled")

@@ -322,6 +322,16 @@ class TestTrace:
         path.write_text(header + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
         self._rejected(capsys, path, "line 2")
 
+    @pytest.mark.parametrize("index", [0, 10])
+    def test_malformed_json_names_its_trace_line(self, capsys, tmp_path, index):
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "max", "--list", "1,2,3", "--word-size", "4",
+                "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        lines[index] = lines[index][:-1] + ',"emitted":{"c0'  # unterminated string
+        path.write_text("\n".join(lines) + "\n")
+        self._rejected(capsys, path, f"trace line {index + 1}:")
+
     @pytest.mark.parametrize("header,edit,needle", [
         ({"mode": "idle"}, None, "'mode'"),
         ({"eta": "2"}, None, "'eta'"),

@@ -4,18 +4,22 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cayley_imc.algorithms import load_list
 from cayley_imc.engine import (
+    Configuration,
     ProtocolError,
     QuiescenceError,
+    TraceEvent,
     default_cycle_budget,
     reset_configuration,
     run_until_quiescent,
     snapshot,
     step,
 )
-from cayley_imc.node import Mode
+from cayley_imc.node import Mode, make_node
+from cayley_imc.topology import Role
 from cayley_imc.tracefile import configuration_from_events, parse_trace, trace_header
 
 from conftest import cached_topology
@@ -175,3 +179,28 @@ def test_emitted_ports_in_trace(topo_2_3_4):
     emissions = step(cfg2, capture=True)
     events = snapshot(cfg2, emissions)
     assert all(events[leaf].emitted == {"parent": 1} for leaf in topo_2_3_4.leaves)
+
+
+_BIT = st.integers(0, 1)
+_EMITTED = st.one_of(
+    st.just({}),
+    _BIT.map(lambda b: {"parent": b}),
+    st.tuples(st.integers(1, 5), _BIT).map(lambda kb: {f"c{k}": kb[1] for k in range(kb[0])}),
+)
+
+
+@given(st.builds(
+    TraceEvent,
+    cycle=st.integers(0, 10_000), node=st.integers(0, 1 << 22), depth=st.integers(0, 30),
+    role=st.sampled_from([r.value for r in Role]), word=st.integers(0, (1 << 64) - 1),
+    state=_BIT, start=_BIT, match=_BIT, l_m=_BIT, l_children=st.lists(_BIT, max_size=4),
+    perm_disabled=_BIT, emitted=_EMITTED))
+def test_to_json_is_compact_json_dumps(event):
+    assert event.to_json() == json.dumps(event._asdict(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("eta,height", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3)])
+def test_snapshot_roles_are_the_topology_roles(eta, height):
+    topo = cached_topology(eta, height, 4)
+    cfg = Configuration(topo, [make_node(topo, i, 0) for i in range(topo.n)])
+    assert [e.role for e in snapshot(cfg)] == [r.value for r in topo.role_of]

@@ -1,8 +1,9 @@
 """Hypothesis fuzz of the CLI: every input ends in exit 0, 1 or 2.
 
-Exit 1 must come with exactly one line on stderr and no traceback.  Output
-is captured with ``contextlib`` redirects and files live in a
-``tempfile`` directory, because the function-scoped ``capsys`` and
+Exit 1 must come with exactly one line on stderr and no traceback, and
+trace replay's text-first comparison must print what the parsed comparison
+prints.  Output is captured with ``contextlib`` redirects and files live in
+a ``tempfile`` directory, because the function-scoped ``capsys`` and
 ``tmp_path`` fixtures are not reset between Hypothesis examples.
 """
 
@@ -12,7 +13,9 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayley_imc import cli
@@ -79,13 +82,19 @@ def test_scheme_and_info_commands_exit_cleanly(argv):
     _check_exit(status, err)
 
 
+_TRACE_RUNS = {
+    "search": ("search", "--list", "5,2,7", "--key", "2", "--word-size", "3"),
+    "max": ("max", "--list", "14,9,5,14,7,11,10,10", "--word-size", "4"),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _recorded_trace() -> tuple[str, ...]:
-    """The trace lines of a 4-node search, written by the CLI itself."""
+def _recorded_trace(kind: str = "search") -> tuple[str, ...]:
+    """The trace lines of a 4-node search or a 10-node max, written by the
+    CLI itself."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "search.trace")
-        status, _, _ = _main("search", "--list", "5,2,7", "--key", "2",
-                             "--word-size", "3", "--trace-out", path)
+        path = os.path.join(tmp, f"{kind}.trace")
+        status, _, _ = _main(*_TRACE_RUNS[kind], "--trace-out", path)
         assert status == 0
         with open(path, encoding="utf-8") as fh:
             return tuple(fh.read().splitlines())
@@ -139,3 +148,66 @@ def test_trace_with_a_bad_header_or_cycle0_field_exits_cleanly(data):
             assert status == 1 and "'word'" in err, err
         elif not 0 <= word < 8:
             assert status == 1 and "out of range" in err, err
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("switched off in this test")
+
+
+def _replay_parsed_only(content: bytes):
+    """Replay with the text-first comparison switched off."""
+    with mock.patch.object(cli, "split_trace", _refuse):
+        return _replay(content)
+
+
+_LINE_EDITS = ("value", "spaced", "shuffled", "delete", "duplicate", "corrupt")
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(_TRACE_RUNS)), st.sampled_from(_LINE_EDITS), st.data())
+def test_text_first_replay_reports_what_the_parsed_comparison_reports(kind, edit, data):
+    lines = list(_recorded_trace(kind))
+    i = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the header
+    record = json.loads(lines[i])
+    if edit == "value":
+        name = data.draw(st.sampled_from(sorted(record)))
+        record[name] = data.draw(st.integers(0, 3) | _JSON)
+        lines[i] = json.dumps(record, separators=(",", ":"))
+    elif edit == "spaced":
+        lines[i] = json.dumps(record)
+    elif edit == "shuffled":
+        keys = data.draw(st.permutations(sorted(record)))
+        lines[i] = json.dumps({k: record[k] for k in keys}, separators=(",", ":"))
+    elif edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    content = "\n".join(lines).encode() + b"\n"
+    result = _replay(content)
+    assert result == _replay_parsed_only(content)
+    if edit in ("spaced", "shuffled"):
+        assert result[0] == 0, result
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
+def test_unchanged_trace_is_matched_as_text(kind):
+    content = "\n".join(_recorded_trace(kind)).encode() + b"\n"
+    with mock.patch.object(cli, "parse_trace", _refuse):
+        status, out, err = _replay(content)
+    assert (status, err) == (0, "") and out.endswith(" replay matches\n"), (out, err)
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
+def test_reformatted_equal_trace_still_matches(kind):
+    # Default json.dumps separators, CRLF line ends, comments and blank lines.
+    lines = []
+    for k, line in enumerate(_recorded_trace(kind)):
+        prefix = _HEADER_PREFIX if line.startswith(_HEADER_PREFIX) else ""
+        lines += [prefix + json.dumps(json.loads(line[len(prefix):])),
+                  "# a comment" if k % 2 else ""]
+    status, out, err = _replay("\r\n".join(lines).encode() + b"\r\n")
+    events = sum(1 for line in _recorded_trace(kind) if line[0] == "{")
+    assert (status, out, err) == (
+        0, f"trace: 1 segment(s), {events} events, replay matches\n", "")
