@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .engine import Configuration, _budget_exhausted, _validate_quiescent
 from .node import Mode, make_node
@@ -124,7 +124,8 @@ class LoadedTree:
     """One input list in a tree, ready to run: its words and flags as bit
     planes, and the scheme runs on them.
 
-    ``load`` is the only constructor.  The tree stays in planes until ``cfg``
+    ``load`` is the only constructor.  ``layout`` holds every level's node
+    ids in position order.  The tree stays in planes until ``cfg``
     is first read, which builds node objects holding the current state.
     From then on the tree is in object form: every ``rearm`` packs the words
     and ``perm_disabled`` flags from ``cfg``, every plane run writes every
@@ -140,7 +141,7 @@ class LoadedTree:
         tree = cls()
         p = topo.params
         tree.topo, tree.w, tree._cfg = topo, p.word_size, None
-        tree._layout, tree._where = _layout(p.eta, p.height)
+        tree.layout, tree._where = _layout(p.eta, p.height)
         tree.occupied = frozenset(range(1, len(elements) + 1))
         pad = topo.n - 1 - len(elements)
         tree._pack([root_word, *elements, *repeat(pad_word, pad)],
@@ -150,12 +151,12 @@ class LoadedTree:
 
     def _pack(self, words: Sequence[int], perm: Sequence[int]) -> None:
         p = self.topo.params
-        last = len(self._layout) - 1
+        last = len(self.layout) - 1
         self.levels = [
             _Level(list(map(words.__getitem__, ids)),
                    int(bytes(map(perm.__getitem__, reversed(ids))).translate(_TRUTH), 2),
                    0 if d == last else (p.eta + 1 if d == 0 else p.eta), self.w)
-            for d, ids in enumerate(self._layout)]
+            for d, ids in enumerate(self.layout)]
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
         """Apply ``reset_flags`` for ``mode`` to every level; the words keep
@@ -166,7 +167,7 @@ class LoadedTree:
         if cfg is not None:
             self._pack(list(map(attrgetter("word"), cfg.nodes)),
                        list(map(attrgetter("flags.perm_disabled"), cfg.nodes)))
-            for lv, ids in zip(self.levels, self._layout):
+            for lv, ids in zip(self.levels, self.layout):
                 lv.nodes = list(map(cfg.nodes.__getitem__, ids))
         self.mode, self.phase1_only, self.cycle = mode, phase1_only, 0
         last = len(self.levels) - 1
@@ -191,7 +192,7 @@ class LoadedTree:
         ``rearm``."""
         if self._cfg is None:
             topo, nodes = self.topo, []
-            for lv, ids in zip(self.levels, self._layout):
+            for lv, ids in zip(self.levels, self.layout):
                 lv.nodes = list(map(make_node, repeat(topo), ids, _unpack(lv.aligned(self.w), lv.n)))
                 lv.shown_rot = lv.rot % self.w
                 for nd, perm in zip(lv.nodes, _bits(lv.perm, lv.n)):
@@ -353,13 +354,20 @@ class LoadedTree:
         levels[0].acted = False
         self.cycle += 1
 
-    def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False) -> int:
-        """``rearm`` and step to quiescence; return the cycles.  A tree in
-        object form gets the final state, also on ``QuiescenceError``."""
+    def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
+            on_step: Callable[[LoadedTree], object] | None = None) -> int:
+        """``rearm`` and step to quiescence; return the cycles.  ``on_step``
+        is called with the tree once after the ``rearm`` and once after
+        every cycle.  A tree in object form gets the final state, also on
+        ``QuiescenceError``."""
         self.rearm(mode, phase1_only=phase1_only)
+        if on_step is not None:
+            on_step(self)
         try:
             for _ in range(max_cycles):
                 self.step()
+                if on_step is not None:
+                    on_step(self)
                 if self.quiescent():
                     break
             else:

@@ -6,6 +6,9 @@ import random
 
 import pytest
 
+from cayley_imc.algorithms import ExtremumResult, SearchResult
+from cayley_imc.engine import default_cycle_budget, reset_configuration, run_until_quiescent
+from cayley_imc.node import Mode
 from cayley_imc.topology import TreeParams, build_topology
 
 _TOPO_CACHE: dict[tuple[int, int, int], object] = {}
@@ -77,3 +80,24 @@ def full_state(cfg) -> tuple:
             ib.parent, tuple(ib.children), ib.child_count,
         ))
     return (cfg.mode, cfg.global_cycle, cfg.phase1_only, tuple(rows))
+
+
+def _object_run(cfg, mode, budget) -> int:
+    reset_configuration(cfg, mode)
+    return run_until_quiescent(cfg, budget or default_cycle_budget(cfg.topo))[1]
+
+
+def object_search(cfg, key, occupied, budget=None) -> SearchResult:
+    """``search`` with matches collected from ``occupied``, run by the
+    object engine alone on the configuration ``cfg``."""
+    cfg.root.word = key
+    cycles = _object_run(cfg, Mode.SEARCH, budget)
+    return SearchResult(found=cfg.root.flags.state, cycles=cycles,
+                        matched_nodes=frozenset(i for i in occupied if cfg.nodes[i].phase1_match))
+
+
+def object_extremum(cfg, mode, budget=None) -> ExtremumResult:
+    """``compute_max`` or ``compute_min``, run by the object engine alone on
+    the configuration ``cfg``."""
+    cycles = _object_run(cfg, mode, budget)
+    return ExtremumResult(value=cfg.root.word, cycles=cycles)

@@ -1,14 +1,16 @@
 """The bit-plane engine against the object engine, cycle by cycle.
 
 The object engine (``engine.step`` over the transition rules of ``node.py``)
-is the reference.  Each check loads two configurations alike, runs the same
-scheme on both, one per engine, and compares every ``NodeState`` field and
-the trace snapshot lines after every cycle, then the results and final
-states of whole runs through the library entry points.
+is the reference.  Each check loads two trees alike, runs the same scheme
+on both, one per engine, and compares after every cycle the trace lines
+the recorder writes from the planes with the object engine's snapshot
+and, for a tree in object form, every ``NodeState`` field; then the
+results and final states of whole runs through the library entry points.
 """
 
 import gc
 import random
+from functools import partial
 
 import pytest
 
@@ -25,87 +27,102 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode, make_node
 from cayley_imc.oracle import oracle_sort_desc
+from cayley_imc.tracefile import Recorder, trace_header
 
-from conftest import cached_topology, full_state, random_elements
+from conftest import (cached_topology, full_state, object_extremum, object_search,
+                      random_elements)
 
 # The seeds of the acceptance fuzz tests.
 SEEDS = (0xC0FFEE, 0xBEEF, 0xFEED, 0xD15AB1E)
 SHAPES = [(eta, h, w) for eta in (1, 2, 3) for h in range(2, 7) for w in (4, 8)]
 
 
-def _ignore(cfg, emissions):
-    """An observer that records nothing; it selects the object engine."""
-
-
-def _lines(cfg):
-    return [e.to_json() for e in snapshot(cfg)]
+def _text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _lockstep(obj, tree, mode, phase1_only=False) -> int:
     """Run ``mode`` on the object engine over ``obj`` and on the planes of
-    ``tree``, in object form, from the reset state, comparing the full
-    state after every cycle; return the cycles to quiescence."""
+    ``tree`` from the reset state; return the cycles to quiescence.
+
+    After the reset and after every cycle, the recorder's output for
+    ``tree`` must equal the object engine's snapshot with its emissions,
+    and a tree in object form must hold the object engine's full state.
+    """
     reset_configuration(obj, mode, phase1_only=phase1_only)
-    pl = tree.cfg
     tree.rearm(mode, phase1_only=phase1_only)
+    written = []
+    record = Recorder(written.append)
+    record(tree)
+    expected = _text([trace_header(obj)] + [e.to_json() for e in snapshot(obj)])
     cycles = 0
     while True:
-        tree.write_back()
         where = (mode, phase1_only, cycles)
-        assert full_state(pl) == full_state(obj), where
-        assert _lines(pl) == _lines(obj), where
+        assert written == [expected], where
+        written.clear()
+        if tree._cfg is not None:
+            tree.write_back()
+            assert full_state(tree.cfg) == full_state(obj), where
         done = tree.quiescent()
         assert done == _quiescent(obj), where
         if done:
             return cycles
-        step(obj)
+        expected = _text(e.to_json() for e in snapshot(obj, step(obj, capture=True)))
         tree.step()
+        record(tree)
         cycles += 1
 
 
-def _twins(topo, els, mode, key=None):
-    """A configuration for the object engine and a tree for the planes."""
-    return load_list(topo, els, mode, key=key).cfg, load_list(topo, els, mode, key=key)
+def _twins(topo, els, mode, key=None, *, object_form=True):
+    """A configuration for the object engine and a tree for the planes,
+    the tree in object form or left in planes."""
+    tree = load_list(topo, els, mode, key=key)
+    if object_form:
+        tree.cfg
+    return load_list(topo, els, mode, key=key).cfg, tree
 
 
-def _disable_some(rng, topo, *cfgs):
-    for i in range(1, topo.n):
-        if rng.random() < 0.2:
-            for cfg in cfgs:
-                cfg.nodes[i].flags.perm_disabled = 1
+def _disable_some(rng, topo, obj, tree):
+    ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
+    for i in ids:
+        obj.nodes[i].flags.perm_disabled = 1
+    tree.disable(ids)
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_every_cycle_matches_the_object_engine(eta, h, w):
     topo = cached_topology(eta, h, w)
     limit = 1 << w
-    for seed in SEEDS:
+    for k, seed in enumerate(SEEDS):
         rng = random.Random(f"{seed}:{eta}:{h}:{w}")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
         key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
+        form = k % 2 == 0
 
-        obj, pl = _twins(topo, els, Mode.SEARCH, key)
+        obj, pl = _twins(topo, els, Mode.SEARCH, key, object_form=form)
         assert _lockstep(obj, pl, Mode.SEARCH) == w + 2 * h
         # The comparison phase of sorting, on the state the full run left.
         assert _lockstep(obj, pl, Mode.SEARCH, phase1_only=True) == w + h
 
         for mode in (Mode.MAX, Mode.MIN):
-            obj, pl = _twins(topo, els, mode)
-            _disable_some(rng, topo, obj, pl.cfg)
+            obj, pl = _twins(topo, els, mode, object_form=form)
+            _disable_some(rng, topo, obj, pl)
             assert _lockstep(obj, pl, mode) == w + h
+        assert (pl._cfg is not None) == form
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_every_sort_round_matches_the_object_engine(eta, h, w):
     topo = cached_topology(eta, h, w)
-    for seed in SEEDS:
+    for k, seed in enumerate(SEEDS):
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:sort")
         els = random_elements(rng, topo.n - 1, w, max_len=12, few_distinct=True)
         mode = rng.choice((Mode.MAX, Mode.MIN))
-        obj, pl = _twins(topo, els, mode)
+        obj, pl = _twins(topo, els, mode, object_form=k % 2 == 0)
         # As in sort(): padding slots sit out every round.
         for i in range(len(els) + 1, topo.n):
-            obj.nodes[i].flags.perm_disabled = pl.cfg.nodes[i].flags.perm_disabled = 1
+            obj.nodes[i].flags.perm_disabled = 1
+        pl.disable(range(len(els) + 1, topo.n))
         live = set(range(1, len(els) + 1))
         output = []
         while live:
@@ -115,8 +132,9 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
             matched = [i for i in live if obj.nodes[i].flags.match == 1]
             assert matched
             for i in matched:
-                obj.nodes[i].flags.perm_disabled = pl.cfg.nodes[i].flags.perm_disabled = 1
+                obj.nodes[i].flags.perm_disabled = 1
                 live.remove(i)
+            pl.disable(matched)
             output += [value] * len(matched)
         expected = oracle_sort_desc(els)
         assert output == (expected if mode is Mode.MAX else expected[::-1])
@@ -130,19 +148,20 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:runs")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
         pl = load_list(topo, els, Mode.SEARCH, key=0)
-        obj = load_list(topo, els, Mode.SEARCH, key=0)
+        obj = load_list(topo, els, Mode.SEARCH, key=0).cfg
         for _ in range(3):
             key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
             got = search(pl, key, collect_matches=True)
-            assert got == search(obj, key, collect_matches=True, on_step=_ignore)
-            assert full_state(pl.cfg) == full_state(obj.cfg)
+            assert got == object_search(obj, key, pl.occupied)
+            assert full_state(pl.cfg) == full_state(obj)
         for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
             pl = load_list(topo, els, mode)
-            obj = load_list(topo, els, mode)
-            _disable_some(rng, topo, pl.cfg, obj.cfg)
+            obj = load_list(topo, els, mode).cfg
+            pl.cfg
+            _disable_some(rng, topo, obj, pl)
             for _ in range(2):
-                assert run(pl) == run(obj, on_step=_ignore)
-                assert full_state(pl.cfg) == full_state(obj.cfg)
+                assert run(pl) == object_extremum(obj, mode)
+                assert full_state(pl.cfg) == full_state(obj)
 
 
 def _loaded_by_nodes(topo, els, mode, key=None):
@@ -172,35 +191,39 @@ def test_plane_form_trees_match_the_object_engine(eta, h, w):
             fresh = load_list(topo, els, mode, key=key)
             assert full_state(fresh.cfg) == full_state(_loaded_by_nodes(topo, els, mode, key))
             tree = load_list(topo, els, mode, key=key)
-            twin = load_list(topo, els, mode, key=key)
+            twin = load_list(topo, els, mode, key=key).cfg
             for _ in range(rng.randint(3, 5)):
                 if mode is Mode.SEARCH:
                     key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
                     got = search(tree, key, collect_matches=True)
-                    assert got == search(twin, key, collect_matches=True, on_step=_ignore)
+                    assert got == object_search(twin, key, tree.occupied)
                 else:
                     run = compute_max if mode is Mode.MAX else compute_min
-                    assert run(tree) == run(twin, on_step=_ignore)
+                    assert run(tree) == object_extremum(twin, mode)
             assert tree._cfg is None, "the runs built node objects"
-            assert full_state(tree.cfg) == full_state(twin.cfg)
+            assert full_state(tree.cfg) == full_state(twin)
 
 
 @pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX])
 def test_budget_exhaustion_in_plane_form(topo_2_3_4, monkeypatch, mode):
-    run = (lambda t, **kw: search(t, 2, **kw)) if mode is Mode.SEARCH else compute_max
-    read, rerun, twin = (load_list(topo_2_3_4, [3, 1, 2], mode, key=0) for _ in range(3))
+    read, rerun = (load_list(topo_2_3_4, [3, 1, 2], mode, key=0) for _ in range(2))
+    twin = load_list(topo_2_3_4, [3, 1, 2], mode, key=0).cfg
+    if mode is Mode.SEARCH:
+        run, run_twin = partial(search, key=2), partial(object_search, twin, 2, ())
+    else:
+        run, run_twin = compute_max, partial(object_extremum, twin, mode)
     with monkeypatch.context() as m:
         m.setattr(algorithms, "default_cycle_budget", lambda topo: 3)
         for tree in (read, rerun):
             with pytest.raises(QuiescenceError):
                 run(tree)
-        with pytest.raises(QuiescenceError):
-            run(twin, on_step=_ignore)
-    assert full_state(read.cfg) == full_state(twin.cfg)
+    with pytest.raises(QuiescenceError):
+        run_twin(budget=3)
+    assert full_state(read.cfg) == full_state(twin)
     # The next run starts from the words the cut-off run left part rotated.
-    assert run(rerun) == run(twin, on_step=_ignore)
+    assert run(rerun) == run_twin()
     assert rerun._cfg is None
-    assert full_state(rerun.cfg) == full_state(twin.cfg)
+    assert full_state(rerun.cfg) == full_state(twin)
 
 
 def test_a_held_configuration_stays_live(topo_2_3_4):
