@@ -16,13 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
-from .engine import (
-    Configuration,
-    ProtocolError,
-    default_cycle_budget,
-    reset_configuration,
-    run_until_quiescent,
-)
+# Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
+from .engine import ProtocolError, default_cycle_budget, run_until_quiescent  # noqa: F401
 from .node import Mode
 from .planes import LoadedTree
 from .topology import CayleyTopology, TreeParams, node_count
@@ -41,11 +36,10 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:
-    # Per-cycle observer: called with emissions None once at cycle 0, right
-    # after the reset, then with the per-node emissions after every cycle.
-    # Only type checkers build it: a subscripted Callable is cached inside
-    # typing and would keep this module's classes alive after a reload.
-    StepObserver = Callable[[Configuration, list[dict[str, int]] | None], None]
+    # Per-cycle observer of LoadedTree.run.  Only type checkers build it: a
+    # subscripted Callable is cached inside typing and would keep this
+    # module's classes alive after a reload.
+    StepObserver = Callable[[LoadedTree], object]
 
 
 @dataclass(frozen=True)
@@ -110,19 +104,11 @@ def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
 
 def _run(tree: LoadedTree, mode: Mode, on_step: StepObserver | None = None, *,
          phase1_only: bool = False) -> int:
-    """Reset ``tree`` for ``mode`` and run it to quiescence; return the cycles.
-
-    Without an observer the tree runs the whole segment on its bit planes.
-    With one, the object engine steps ``tree.cfg`` so the observer sees
-    every cycle.
-    """
-    budget = default_cycle_budget(tree.topo)
-    if on_step is None:
-        return tree.run(mode, budget, phase1_only=phase1_only)
-    cfg = tree.cfg
-    reset_configuration(cfg, mode, phase1_only=phase1_only)
-    on_step(cfg, None)
-    return run_until_quiescent(cfg, budget, on_step)[1]
+    """Reset ``tree`` for ``mode`` and run it to quiescence on its bit
+    planes; return the cycles.  ``on_step`` sees the tree after the reset
+    and after every cycle."""
+    return tree.run(mode, default_cycle_budget(tree.topo), phase1_only=phase1_only,
+                    on_step=on_step)
 
 
 def search(tree: LoadedTree, key: int, collect_matches: bool = False,

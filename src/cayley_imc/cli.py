@@ -23,7 +23,7 @@ from . import algorithms, engine, oracle
 from .node import Mode
 from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        node_count, required_height)
-from .tracefile import configuration_from_events, parse_trace, split_trace, trace_header
+from .tracefile import Recorder, parse_trace, split_trace, tree_from_events
 
 __all__ = ["main", "parse_input"]
 
@@ -118,21 +118,14 @@ def _print_block(pairs: list[tuple[str, object]], as_json: bool) -> None:
 def _call_traced(run, path: str | None):
     """Call ``run``, recording its trace to ``path`` when one is given.
 
-    Every run segment writes its header and cycle-0 snapshot, then one
-    snapshot per cycle.  Search, max and min write one segment; sort writes
+    Every run segment writes its header and cycle-0 lines, then one line
+    per node and cycle.  Search, max and min write one segment; sort writes
     two per round, the tournament and the comparison phase.
     """
     if path is None:
         return run()
     with open(path, "w", encoding="utf-8") as fh:
-        def on_step(cfg: engine.Configuration,
-                    emissions: list[dict[str, int]] | None) -> None:
-            lines = [ev.to_json() for ev in engine.snapshot(cfg, emissions)]
-            if emissions is None:
-                lines.insert(0, trace_header(cfg))
-            fh.write("\n".join(lines) + "\n")
-
-        return run(on_step=on_step)
+        return run(on_step=Recorder(fh.write))
 
 
 def _run_scheme(args: argparse.Namespace) -> int:
@@ -243,16 +236,13 @@ def _run_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _replay(meta: dict, events: list[dict], encode) -> list:
-    """Rebuild a segment's cycle-0 state, rerun it, and encode every event."""
-    cfg = configuration_from_events(meta, events)
-    out = [encode(e) for e in engine.snapshot(cfg)]
-
-    def on_step(c, emissions):
-        out.extend([encode(e) for e in engine.snapshot(c, emissions)])
-
-    engine.run_until_quiescent(cfg, engine.default_cycle_budget(cfg.topo), on_step)
-    return out
+def _replay(meta: dict, events: list[dict]) -> list[str]:
+    """Rebuild a segment's cycle-0 tree, rerun it, and return its event lines."""
+    tree = tree_from_events(meta, events)
+    out: list[str] = []
+    tree.run(tree.mode, engine.default_cycle_budget(tree.topo),
+             phase1_only=tree.phase1_only, on_step=Recorder(out.append))
+    return "".join(out).splitlines()[1:]  # after the header
 
 
 def _run_trace_verify(args: argparse.Namespace) -> int:
@@ -270,7 +260,7 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
         for meta, lines in segments:
             n = node_count(meta["eta"], meta["height"])  # one cycle-0 line per node
             initial = [json.loads(s) for s in lines[:n]]
-            if _replay(meta, initial, engine.TraceEvent.to_json) != lines:
+            if _replay(meta, initial) != lines:
                 matches = False
                 break
     except Exception:  # the parsed comparison below raises or reports it again
@@ -281,8 +271,7 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
         if not segments:
             raise InputError(f"{args.trace_file}: no trace segments found")
         for seg_idx, (meta, events) in enumerate(segments):
-            # An event's fields as a dict equal the record its JSON line parses to.
-            replayed = _replay(meta, events, engine.TraceEvent._asdict)
+            replayed = list(map(json.loads, _replay(meta, events)))
             if replayed != events:
                 print(f"trace: segment {seg_idx} diverges from replay")
                 for i, (a, b) in enumerate(zip(events, replayed)):
@@ -343,7 +332,9 @@ def _add_common(p: argparse.ArgumentParser, *, with_inputs: bool = True) -> None
                        help="length of a generated list (default 10)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = _Parser(
         prog="cayley-imc",
         description="Cycle-accurate simulator of a Cayley-tree in-memory "

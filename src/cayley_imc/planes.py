@@ -124,9 +124,9 @@ class LoadedTree:
     """One input list in a tree, ready to run: its words and flags as bit
     planes, and the scheme runs on them.
 
-    ``load`` is the only constructor.  ``layout`` holds every level's node
-    ids in position order.  The tree stays in planes until ``cfg``
-    is first read, which builds node objects holding the current state.
+    ``load`` is the only constructor; ``layout`` lists each level's ids by
+    position.  The tree stays in planes until ``cfg`` is first read, which
+    builds node objects holding the current state.
     From then on the tree is in object form: every ``rearm`` packs the words
     and ``perm_disabled`` flags from ``cfg``, every plane run writes every
     node's state back, and results are read from ``cfg``, so a
@@ -356,10 +356,9 @@ class LoadedTree:
 
     def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
-        """``rearm`` and step to quiescence; return the cycles.  ``on_step``
-        is called with the tree once after the ``rearm`` and once after
-        every cycle.  A tree in object form gets the final state, also on
-        ``QuiescenceError``."""
+        """``rearm`` and step to quiescence; return the cycles.  ``on_step(tree)``
+        follows the ``rearm`` and every cycle.  A tree in object form gets
+        the final state, also on ``QuiescenceError``."""
         self.rearm(mode, phase1_only=phase1_only)
         if on_step is not None:
             on_step(self)

@@ -12,118 +12,79 @@ from __future__ import annotations
 
 import itertools
 import json
+from itertools import repeat
 from typing import Callable, Iterable
 
-from .engine import Configuration
-from .node import Mode, NodeState, make_node
+from .node import Mode
 from .planes import LoadedTree, _unpack
-from .topology import Role, TreeParams, build_topology, node_count
+from .topology import TreeParams, build_topology, node_count
 
-__all__ = ["trace_header", "Recorder", "split_trace", "parse_trace", "tree_from_events",
-           "configuration_from_events"]
+__all__ = ["trace_header", "Recorder", "split_trace", "parse_trace", "tree_from_events"]
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 _UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
 
 
 def trace_header(run) -> str:
-    """The header line of a segment run by ``run``, a ``LoadedTree`` or a
-    ``Configuration``."""
+    """Header line of the segment run by ``run`` (a LoadedTree or a Configuration)."""
     p = run.topo.params
-    meta = {
-        "eta": p.eta,
-        "height": p.height,
-        "word_size": p.word_size,
-        "mode": run.mode.value,
-        "phase1_only": run.phase1_only,
-    }
+    meta = {"eta": p.eta, "height": p.height, "word_size": p.word_size,
+            "mode": run.mode.value, "phase1_only": run.phase1_only}
     return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
 
 
 class Recorder:
-    """``on_step`` observer of ``LoadedTree.run`` that writes the trace, one
-    ``write`` per cycle: every node's line in node-id order, after the
-    segment's header line at cycle 0.
-
-    The lines are what ``snapshot(...).to_json()`` writes for the object
-    engine, read off the planes.  Emissions follow from each level's clock
-    advance in the cycle.  In search the root sends the initiate, then the
-    key bits, down while its clock before the step is at most w; any other
-    level whose clock advanced sends its one key bit down while the clock
-    is at most w + 1, and its ``state`` plane up after that.  In max/min a
-    level whose clock advanced sends its ``state`` plane up; the root's
-    clock never moves.  A level's lines, but for the cycle, are rebuilt
-    only when its planes or emission changed.
-    """
+    """``on_step`` observer of ``LoadedTree.run``: per cycle, one ``write`` of
+    the lines ``snapshot(...).to_json()`` gives, read off the planes, after
+    the header at cycle 0.  A level whose clock advanced sent its one bit
+    down (in search: the root while its clock was at most w, others while
+    it is at most w + 1) or else its ``state`` plane up.  A level's lines
+    are rebuilt only when its planes changed."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
-        self.topo = None
-
-    def _shape(self, tree: LoadedTree) -> None:
-        h = len(tree.layout)
-        roles = ((Role.ROOT.value,) + (Role.INTERMEDIATE.value,) * (h - 2)
-                 + (Role.LEAF.value,))
-        self.topo = tree.topo
-        self.idents = [[f',"node":{i},"depth":{d},"role":"{roles[d]}","word":' for i in ids]
-                       for d, ids in enumerate(tree.layout)]
-        self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in tree.layout]
-        self.lows = [ids[0] for ids in tree.layout]  # position 0 has the lowest id
-        self.no_links = [f"[{','.join('0' * lv.k)}]" for lv in tree.levels]
-        self.tails = [""] * tree.topo.n
 
     def __call__(self, tree: LoadedTree) -> None:
         levels, w, search = tree.levels, tree.w, tree.mode is Mode.SEARCH
-        head = f'{{"cycle":{tree.cycle}'
-        text = head
+        head = text = f'{{"cycle":{tree.cycle}'
         if not tree.cycle:
-            if tree.topo is not self.topo:
-                self._shape(tree)
-            self.clocks, self.keys, self.words = [0] * len(levels), [None] * len(levels), {}
+            roles = tree.topo.role_of
+            self.idents = [[f',"node":{i},"depth":{d},"role":"{roles[i].value}","word":'
+                            for i in ids] for d, ids in enumerate(tree.layout)]
+            self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in tree.layout]
+            self.clocks, self.keys = [0] * len(levels), [None] * len(levels)
+            self.tails, self.words = [""] * tree.topo.n, {}
             text = trace_header(tree) + "\n" + head
-        for d, lv in enumerate(levels):
-            prev, clock = self.clocks[d], lv.clock
-            self.clocks[d] = clock
-            em = 0  # silent; 1: state plane up; 2, 3: bit 0, 1 down
-            if clock != prev:
-                if not d:
-                    em = 2 + (lv.words[prev - 1] if prev else 1) if prev <= w else 0
-                elif search and clock <= w + 1:
-                    em = 3 if lv.state else 2
-                else:
-                    em = 1
-            word = lv.rot % w if d else _unpack(lv.aligned(w), 1)[0]
-            key = (word, lv.state, lv.start, lv.match, lv.link_mem, lv.links, em)
-            if key != self.keys[d]:
-                self.keys[d] = key
-                self._level(d, lv, w, word, em)
+        for d, (lv, ids) in enumerate(zip(levels, tree.layout)):
+            n, k, prev = lv.n, lv.k, self.clocks[d]
+            self.clocks[d] = lv.clock
+            down = None  # the bit sent to the children, or 2 for the state plane up
+            if lv.clock != prev and d:
+                down = (1 if lv.state else 0) if search and lv.clock <= w + 1 else 2
+            elif lv.clock != prev and prev <= w:  # only a searching root's clock moves
+                down = lv.words[prev - 1] if prev else 1
+            key = (lv.rot, lv.state, lv.start, lv.match, lv.link_mem, lv.links, down)
+            if key == self.keys[d]:
+                continue
+            self.keys[d] = key
+            state, match, l_m, perm = (format(plane, f"0{n}b")[::-1]
+                                       for plane in (lv.state, lv.match, lv.link_mem, lv.perm))
+            kids = repeat(f"[{','.join('0' * k)}]")
+            if lv.links:
+                bits = format(lv.links, f"0{n * k}b")[::-1]
+                kids = [f"[{','.join(bits[p::n])}]" for p in range(n)]  # slot s at s * n + p
+            ports = ",".join([f'"c{s}":{down}' for s in range(k)]) if down in (0, 1) else ""
+            emitted = map(_UP.__getitem__, state) if down == 2 else repeat("{" + ports + "}")
+            words = self.words.get((d, lv.rot))  # a root write also turns rot
+            if words is None:
+                words = self.words[d, lv.rot] = list(map(str, _unpack(lv.aligned(w), n)))
+            mid = f',"start":{lv.start},"match":'
+            tails = [f'{ident}{v},"state":{s}{mid}{m},"l_m":{lm},"l_children":{lc},'
+                     f'"perm_disabled":{p},"emitted":{e}}}'
+                     for ident, v, s, m, lm, lc, p, e in zip(
+                         self.idents[d], words, state, match, l_m, kids, perm, emitted)]
+            self.tails[ids[0]:ids[0] + n] = map(tails.__getitem__, self.order[d])
         self.write(text + ("\n" + head).join(self.tails) + "\n")
-
-    def _level(self, d: int, lv, w: int, word: int, em: int) -> None:
-        """Rebuild the line tails of level ``d``; ``word`` is the root's
-        word, or the rotation of any other level's words."""
-        n, k = lv.n, lv.k
-        words = self.words.get((d, word)) if d else [str(word)]
-        if words is None:
-            words = self.words[d, word] = list(map(str, _unpack(lv.aligned(w), n)))
-        state, match, l_m, perm = (format(plane, f"0{n}b")[::-1]
-                                   for plane in (lv.state, lv.match, lv.link_mem, lv.perm))
-        kids = itertools.repeat(self.no_links[d])
-        if lv.links:
-            bits = format(lv.links, f"0{n * k}b")[::-1]
-            kids = [f"[{','.join(t)}]" for t in zip(*[bits[s * n:(s + 1) * n] for s in range(k)])]
-        if em == 1:
-            emitted = map(_UP.__getitem__, state)
-        else:
-            emitted = itertools.repeat(
-                "{" + ",".join([f'"c{s}":{em - 2}' for s in range(k)] if em else []) + "}")
-        mid = f',"start":{lv.start},"match":'
-        tails = [f'{ident}{v},"state":{s}{mid}{m},"l_m":{lm},"l_children":{lc},'
-                 f'"perm_disabled":{p},"emitted":{e}}}'
-                 for ident, v, s, m, lm, lc, p, e
-                 in zip(self.idents[d], words, state, match, l_m, kids, perm, emitted)]
-        low = self.lows[d]
-        self.tails[low:low + n] = map(tails.__getitem__, self.order[d])
 
 
 def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
@@ -173,10 +134,9 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
     """Rebuild a segment's tree, reset for its run, from its cycle-0 events.
 
     Checks the header and the leading cycle-0 events, the only ones the
-    rebuild reads, and raises ValueError on the first bad field.  A tree
-    holds words and ``perm_disabled`` flags, and every run starts from the
-    reset state of its mode, so a cycle-0 event in any other state is
-    refused.  Later events are left to the replay comparison.
+    rebuild reads, and raises ValueError on the first bad field, or on an
+    event that is not the mode's reset state.  Later events are left to
+    the replay comparison.
     """
     if not isinstance(meta, dict):
         raise ValueError("trace header is not a JSON object")
@@ -221,13 +181,11 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
             raise ValueError(f"{where}: field 'l_children' must list {n_children} bits")
         if any(b not in (0, 1) or type(b) is not int for b in flags + links):
             raise ValueError(f"{where}: flag and link fields must be 0 or 1")
-        # state, start, match and l_m as reset_flags leaves them.
+        # A tree in planes holds only words and perm_disabled flags: the
+        # rest must be as reset_flags leaves it.
         d, p = topo.depth_of[i], flags[4]
-        if mode is Mode.SEARCH:
-            reset = [1, 1, 1, p] if d == 0 else [0, 0, 1 - p, p]
-        else:
-            reset = [1, 1, 1, p] if d == last > 0 else [0, 0, 1, p]
-        if flags[:4] != reset or any(links):
+        awake = d == 0 if mode is Mode.SEARCH else d == last > 0
+        if flags[:4] != [awake, awake, 1 - p if d and mode is Mode.SEARCH else 1, p] or any(links):
             raise ValueError(f"{where}: not the {mode.value} reset state of a "
                              f"{topo.role_of[i].value} with perm_disabled {p}")
         words[i], perm[i] = word, p
@@ -235,67 +193,3 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
     tree.disable(i for i in range(n) if perm[i])
     tree.rearm(mode, phase1_only=phase1_only)
     return tree
-
-
-def configuration_from_events(meta: dict, events: list[dict]) -> Configuration:
-    """Rebuild a fresh (cycle 0) configuration from a trace segment.
-
-    Checks the header and the leading cycle-0 events, the only ones the
-    rebuild reads, and raises ValueError on the first bad field.  Later
-    events are left to the replay comparison.
-    """
-    if not isinstance(meta, dict):
-        raise ValueError("trace header is not a JSON object")
-    for name in ("eta", "height", "word_size"):
-        if _int_field(meta, name, "trace header") < 1:
-            raise ValueError(f"trace header: field {name!r} must be >= 1, got {meta[name]}")
-    if meta.get("mode") not in (Mode.SEARCH.value, Mode.MAX.value, Mode.MIN.value):
-        raise ValueError(
-            f"trace header: field 'mode' must be search, max or min, got {meta.get('mode')!r}")
-    phase1_only = meta.get("phase1_only", False)
-    if type(phase1_only) is not bool:
-        raise ValueError(
-            f"trace header: field 'phase1_only' must be true or false, got {phase1_only!r}")
-
-    initial = list(itertools.takewhile(
-        lambda e: isinstance(e, dict) and e.get("cycle") == 0, events))
-    # Count before building, so a header naming a huge tree allocates nothing.
-    n = node_count(meta["eta"], meta["height"])
-    if len(initial) != n:
-        raise ValueError(
-            f"trace segment has {len(initial)} cycle-0 events, topology needs {n}"
-        )
-    topo = build_topology(TreeParams(meta["eta"], meta["height"], meta["word_size"]))
-    w = topo.params.word_size
-    mode = Mode(meta["mode"])
-    nodes: list[NodeState] = [None] * n  # type: ignore[list-item]
-    for e in initial:
-        i = _int_field(e, "node", "cycle-0 event")
-        where = f"cycle-0 event of node {i}"
-        if not 0 <= i < n:
-            raise ValueError(f"{where}: no such node in a {n}-node tree")
-        if nodes[i] is not None:
-            raise ValueError(f"{where}: node appears twice")
-        word = _int_field(e, "word", where)
-        if not 0 <= word < 1 << w:
-            raise ValueError(f"{where}: word {word} out of range [0, 2^{w})")
-        flags = [_int_field(e, name, where) for name in _FLAG_FIELDS]
-        links = e.get("l_children")
-        n_children = len(topo.children_of[i])
-        if type(links) is not list or len(links) != n_children:
-            raise ValueError(f"{where}: field 'l_children' must list {n_children} bits")
-        if any(b not in (0, 1) or type(b) is not int for b in flags + links):
-            raise ValueError(f"{where}: flag and link fields must be 0 or 1")
-        node = make_node(topo, i, word)
-        f = node.flags
-        f.state, f.start, f.match, f.link_mem, f.perm_disabled = flags
-        f.link_child[:] = links
-        node.neutral = 1 if mode is Mode.MIN else 0
-        nodes[i] = node
-    return Configuration(
-        topo=topo,
-        nodes=nodes,
-        mode=mode,
-        global_cycle=0,
-        phase1_only=phase1_only,
-    )

@@ -347,6 +347,8 @@ class TestTrace:
         (None, {"state": None}, "'state'"),
         # refused by the tree parameters, before the word range is computed
         ({"word_size": MAX_WORD_SIZE + 1}, None, "word_size"),
+        # a max leaf starts the run with start 1
+        (None, {"start": 0}, "not the max reset state of a leaf"),
     ])
     def test_bad_header_or_cycle0_event_rejected(self, capsys, tmp_path,
                                                   header, edit, needle):
@@ -365,6 +367,19 @@ class TestTrace:
             lines[2] = json.dumps(event)
         path.write_text("\n".join(lines) + "\n")
         self._rejected(capsys, path, needle)
+
+    def test_search_cycle0_match_0_on_an_enabled_node_rejected(self, capsys, tmp_path):
+        # A search run arms match on every node not permanently disabled.
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "search", "--list", "1,2,3", "--word-size", "4",
+                "--key", "2", "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        event = json.loads(lines[2])  # node 1, enabled, at cycle 0
+        assert (event["match"], event["perm_disabled"]) == (1, 0)
+        event["match"] = 0
+        lines[2] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n")
+        self._rejected(capsys, path, "node 1: not the search reset state of a leaf")
 
 
 # Each value is just past its cap, or below 0 for --count, where the check
@@ -397,6 +412,15 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+
+def test_consecutive_calls_leak_no_options(capsys):
+    # The parser is built once per process; each call starts from its defaults.
+    status, out, _ = run_cli(capsys, "search", "--list", "1,2,3", "--key", "3", "--json")
+    assert status == 0 and json.loads(out)["key"] == 3
+    status, out, _ = run_cli(capsys, "max", "--list", "1,2,3")
+    assert status == 0
+    assert out.startswith("command: max\n") and "key" not in out
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("sort", "-h")])

@@ -20,7 +20,7 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode, make_node
 from cayley_imc.topology import Role
-from cayley_imc.tracefile import configuration_from_events, parse_trace, trace_header
+from cayley_imc.tracefile import parse_trace, trace_header, tree_from_events
 
 from conftest import cached_topology
 
@@ -136,7 +136,7 @@ def test_trace_stream_round_trip(topo_2_3_4):
     meta, events = segments[0]
     assert meta["mode"] == "search"
 
-    replay = configuration_from_events(meta, events)
+    replay = tree_from_events(meta, events).cfg
     out = [e.to_json() for e in snapshot(replay)]
 
     def on_step2(c, emissions):
@@ -151,7 +151,7 @@ def test_trace_rejects_incomplete_initial_snapshot(topo_2_3_4):
     lines = [trace_header(cfg)] + [e.to_json() for e in snapshot(cfg)][:-1]
     meta, events = parse_trace(lines)[0]
     with pytest.raises(ValueError):
-        configuration_from_events(meta, events)
+        tree_from_events(meta, events)
 
 
 def test_trace_event_field_set(topo_2_3_4):
