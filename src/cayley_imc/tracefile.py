@@ -10,9 +10,8 @@ every field it reads.
 
 from __future__ import annotations
 
-import itertools
 import json
-from itertools import repeat
+from itertools import repeat, takewhile
 from typing import Callable, Iterable
 
 from .node import Mode
@@ -25,21 +24,21 @@ _HEADER_PREFIX = "# cayley-imc-trace "
 _UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
 
 
-def trace_header(run) -> str:
-    """Header line of the segment run by ``run`` (a LoadedTree or a Configuration)."""
-    p = run.topo.params
+def trace_header(tree) -> str:
+    """Header line of the segment ``tree`` (a LoadedTree or a Configuration) runs."""
+    p = tree.topo.params
     meta = {"eta": p.eta, "height": p.height, "word_size": p.word_size,
-            "mode": run.mode.value, "phase1_only": run.phase1_only}
+            "mode": tree.mode.value, "phase1_only": tree.phase1_only}
     return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
 
 
 class Recorder:
     """``on_step`` observer of ``LoadedTree.run``: per cycle, one ``write`` of
     the lines ``snapshot(...).to_json()`` gives, read off the planes, after
-    the header at cycle 0.  A level whose clock advanced sent its one bit
-    down (in search: the root while its clock was at most w, others while
-    it is at most w + 1) or else its ``state`` plane up.  A level's lines
-    are rebuilt only when its planes changed."""
+    the header at cycle 0.  A level whose clock advanced in the cycle sent
+    one bit down, in search only (the root while its clock was at most w,
+    others while it is at most w + 1), or else its ``state`` plane up.  A
+    level's lines are rebuilt only when its planes changed."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
@@ -151,7 +150,7 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
         raise ValueError(
             f"trace header: field 'phase1_only' must be true or false, got {phase1_only!r}")
 
-    initial = list(itertools.takewhile(
+    initial = list(takewhile(
         lambda e: isinstance(e, dict) and e.get("cycle") == 0, events))
     # Count before building, so a header naming a huge tree allocates nothing.
     n = node_count(meta["eta"], meta["height"])
@@ -181,8 +180,9 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
             raise ValueError(f"{where}: field 'l_children' must list {n_children} bits")
         if any(b not in (0, 1) or type(b) is not int for b in flags + links):
             raise ValueError(f"{where}: flag and link fields must be 0 or 1")
-        # A tree in planes holds only words and perm_disabled flags: the
-        # rest must be as reset_flags leaves it.
+        # Planes hold only words and perm_disabled flags; the rest must be as
+        # reset_flags leaves it: state and start 1 on the searching root and
+        # on max/min leaves, match 0 only on disabled non-root search nodes.
         d, p = topo.depth_of[i], flags[4]
         awake = d == 0 if mode is Mode.SEARCH else d == last > 0
         if flags[:4] != [awake, awake, 1 - p if d and mode is Mode.SEARCH else 1, p] or any(links):

@@ -78,7 +78,7 @@ def _twins(topo, els, mode, key=None, *, object_form=True):
     the tree in object form or left in planes."""
     tree = load_list(topo, els, mode, key=key)
     if object_form:
-        tree.cfg
+        tree.cfg  # the first read builds the node objects
     return load_list(topo, els, mode, key=key).cfg, tree
 
 
@@ -157,7 +157,7 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
         for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
             pl = load_list(topo, els, mode)
             obj = load_list(topo, els, mode).cfg
-            pl.cfg
+            pl.cfg  # object form before the first run
             _disable_some(rng, topo, obj, pl)
             for _ in range(2):
                 assert run(pl) == object_extremum(obj, mode)
