@@ -38,7 +38,8 @@ class Recorder:
     the header at cycle 0.  A level whose clock advanced in the cycle sent
     one bit down, in search only (the root while its clock was at most w,
     others while it is at most w + 1), or else its ``state`` plane up.  A
-    level's lines are rebuilt only when its planes changed."""
+    level's lines are rebuilt only when its planes changed, and its word
+    strings only when its rotation did."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
@@ -52,7 +53,7 @@ class Recorder:
                             for i in ids] for d, ids in enumerate(tree.layout)]
             self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in tree.layout]
             self.clocks, self.keys = [0] * len(levels), [None] * len(levels)
-            self.tails, self.words = [""] * tree.topo.n, {}
+            self.tails, self.words = [""] * tree.topo.n, [(None, None)] * len(levels)
             text = trace_header(tree) + "\n" + head
         for d, (lv, ids) in enumerate(zip(levels, tree.layout)):
             n, k, prev = lv.n, lv.k, self.clocks[d]
@@ -74,9 +75,9 @@ class Recorder:
                 kids = [f"[{','.join(bits[p::n])}]" for p in range(n)]  # slot s at s * n + p
             ports = ",".join([f'"c{s}":{down}' for s in range(k)]) if down in (0, 1) else ""
             emitted = map(_UP.__getitem__, state) if down == 2 else repeat("{" + ports + "}")
-            words = self.words.get((d, lv.rot))  # a root write also turns rot
-            if words is None:
-                words = self.words[d, lv.rot] = list(map(str, _unpack(lv.aligned(w), n)))
+            if self.words[d][0] != lv.rot:  # a root write also turns rot
+                self.words[d] = lv.rot, list(map(str, _unpack(lv.aligned(w), n)))
+            words = self.words[d][1]
             mid = f',"start":{lv.start},"match":'
             tails = [f'{ident}{v},"state":{s}{mid}{m},"l_m":{lm},"l_children":{lc},'
                      f'"perm_disabled":{p},"emitted":{e}}}'

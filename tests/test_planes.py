@@ -1,10 +1,11 @@
 """The bit-plane engine against the object engine, cycle by cycle.
 
 The object engine (``engine.step`` over the transition rules of ``node.py``)
-is the reference.  Each check loads two trees alike, runs the same scheme
-on both, one per engine, and compares after every cycle the trace lines
-the recorder writes from the planes with the object engine's snapshot
-and, for a tree in object form, every ``NodeState`` field; then the
+is the reference.  Each cycle-by-cycle check loads a configuration for it
+and two trees alike, one read into object form and one left in planes,
+runs the same scheme on all three, and compares after every cycle the trace
+lines the recorder writes from each tree's planes with the object engine's
+snapshot, and every ``NodeState`` field of the object-form tree; then the
 results and final states of whole runs through the library entry points.
 """
 
@@ -34,108 +35,124 @@ from conftest import (cached_topology, full_state, object_extremum, object_searc
 
 # The seeds of the acceptance fuzz tests.
 SEEDS = (0xC0FFEE, 0xBEEF, 0xFEED, 0xD15AB1E)
-SHAPES = [(eta, h, w) for eta in (1, 2, 3) for h in range(2, 7) for w in (4, 8)]
+SHAPES = ([(eta, h, w) for eta in (1, 2, 3) for h in range(2, 7) for w in (4, 8)]
+          # The recorder's emission rules turn on w: narrow words too.
+          + [(eta, h, w) for eta in (1, 2, 3) for h in (2, 4) for w in (1, 2)])
 
 
 def _text(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _lockstep(obj, tree, mode, phase1_only=False) -> int:
+def _lockstep(obj, trees, mode, phase1_only=False) -> int:
     """Run ``mode`` on the object engine over ``obj`` and on the planes of
-    ``tree`` from the reset state; return the cycles to quiescence.
+    each of ``trees`` from the reset state; return the cycles to quiescence.
 
-    After the reset and after every cycle, the recorder's output for
-    ``tree`` must equal the object engine's snapshot with its emissions,
-    and a tree in object form must hold the object engine's full state.
+    After the reset and after every cycle, the recorder's output for each
+    tree must equal the object engine's snapshot with its emissions, and a
+    tree in object form must hold the object engine's full state.
     """
     reset_configuration(obj, mode, phase1_only=phase1_only)
-    tree.rearm(mode, phase1_only=phase1_only)
-    written = []
-    record = Recorder(written.append)
-    record(tree)
+    outputs = []
+    for tree in trees:
+        tree.rearm(mode, phase1_only=phase1_only)
+        written = []
+        record = Recorder(written.append)
+        record(tree)
+        outputs.append((tree, record, written))
     expected = _text([trace_header(obj)] + [e.to_json() for e in snapshot(obj)])
     cycles = 0
     while True:
         where = (mode, phase1_only, cycles)
-        assert written == [expected], where
-        written.clear()
-        if tree._cfg is not None:
-            tree.write_back()
-            assert full_state(tree.cfg) == full_state(obj), where
-        done = tree.quiescent()
-        assert done == _quiescent(obj), where
+        done = _quiescent(obj)
+        for tree, _, written in outputs:
+            assert written == [expected], where
+            written.clear()
+            if tree._cfg is not None:
+                tree.write_back()
+                assert full_state(tree.cfg) == full_state(obj), where
+            assert tree.quiescent() == done, where
         if done:
             return cycles
         expected = _text(e.to_json() for e in snapshot(obj, step(obj, capture=True)))
-        tree.step()
-        record(tree)
+        for tree, record, _ in outputs:
+            tree.step()
+            record(tree)
         cycles += 1
 
 
-def _twins(topo, els, mode, key=None, *, object_form=True):
-    """A configuration for the object engine and a tree for the planes,
-    the tree in object form or left in planes."""
-    tree = load_list(topo, els, mode, key=key)
-    if object_form:
-        tree.cfg  # the first read builds the node objects
-    return load_list(topo, els, mode, key=key).cfg, tree
+def _twins(topo, els, mode, key=None):
+    """A configuration for the object engine and two trees for the planes
+    loaded alike: the first in object form, the second left in planes."""
+    trees = [load_list(topo, els, mode, key=key) for _ in range(2)]
+    trees[0].cfg  # the first read builds the node objects
+    return load_list(topo, els, mode, key=key).cfg, trees
 
 
-def _disable_some(rng, topo, obj, tree):
+def _disable_some(rng, topo, obj, trees):
     ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
     for i in ids:
         obj.nodes[i].flags.perm_disabled = 1
-    tree.disable(ids)
+    for tree in trees:
+        tree.disable(ids)
+
+
+def _forms_kept(trees):
+    """The runs left the object-form tree in object form and built no node
+    objects for the plane-form one."""
+    return [tree._cfg is not None for tree in trees] == [True, False]
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_every_cycle_matches_the_object_engine(eta, h, w):
     topo = cached_topology(eta, h, w)
     limit = 1 << w
-    for k, seed in enumerate(SEEDS):
+    for seed in SEEDS:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
         key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
-        form = k % 2 == 0
 
-        obj, pl = _twins(topo, els, Mode.SEARCH, key, object_form=form)
-        assert _lockstep(obj, pl, Mode.SEARCH) == w + 2 * h
+        obj, trees = _twins(topo, els, Mode.SEARCH, key)
+        assert _lockstep(obj, trees, Mode.SEARCH) == w + 2 * h
         # The comparison phase of sorting, on the state the full run left.
-        assert _lockstep(obj, pl, Mode.SEARCH, phase1_only=True) == w + h
+        assert _lockstep(obj, trees, Mode.SEARCH, phase1_only=True) == w + h
+        assert _forms_kept(trees)
 
         for mode in (Mode.MAX, Mode.MIN):
-            obj, pl = _twins(topo, els, mode, object_form=form)
-            _disable_some(rng, topo, obj, pl)
-            assert _lockstep(obj, pl, mode) == w + h
-        assert (pl._cfg is not None) == form
+            obj, trees = _twins(topo, els, mode)
+            _disable_some(rng, topo, obj, trees)
+            assert _lockstep(obj, trees, mode) == w + h
+            assert _forms_kept(trees)
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_every_sort_round_matches_the_object_engine(eta, h, w):
     topo = cached_topology(eta, h, w)
-    for k, seed in enumerate(SEEDS):
+    for seed in SEEDS:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:sort")
         els = random_elements(rng, topo.n - 1, w, max_len=12, few_distinct=True)
         mode = rng.choice((Mode.MAX, Mode.MIN))
-        obj, pl = _twins(topo, els, mode, object_form=k % 2 == 0)
+        obj, trees = _twins(topo, els, mode)
         # As in sort(): padding slots sit out every round.
         for i in range(len(els) + 1, topo.n):
             obj.nodes[i].flags.perm_disabled = 1
-        pl.disable(range(len(els) + 1, topo.n))
+        for tree in trees:
+            tree.disable(range(len(els) + 1, topo.n))
         live = set(range(1, len(els) + 1))
         output = []
         while live:
-            _lockstep(obj, pl, mode)
+            _lockstep(obj, trees, mode)
             value = obj.root.word
-            _lockstep(obj, pl, Mode.SEARCH, phase1_only=True)
+            _lockstep(obj, trees, Mode.SEARCH, phase1_only=True)
             matched = [i for i in live if obj.nodes[i].flags.match == 1]
             assert matched
             for i in matched:
                 obj.nodes[i].flags.perm_disabled = 1
                 live.remove(i)
-            pl.disable(matched)
+            for tree in trees:
+                tree.disable(matched)
             output += [value] * len(matched)
+        assert _forms_kept(trees)
         expected = oracle_sort_desc(els)
         assert output == (expected if mode is Mode.MAX else expected[::-1])
 
@@ -158,7 +175,7 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
             pl = load_list(topo, els, mode)
             obj = load_list(topo, els, mode).cfg
             pl.cfg  # object form before the first run
-            _disable_some(rng, topo, obj, pl)
+            _disable_some(rng, topo, obj, [pl])
             for _ in range(2):
                 assert run(pl) == object_extremum(obj, mode)
                 assert full_state(pl.cfg) == full_state(obj)
@@ -239,7 +256,7 @@ def test_a_held_configuration_stays_live(topo_2_3_4):
 
 
 def test_budget_exhaustion_leaves_the_object_engine_state(topo_2_3_4):
-    obj, tree = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
+    obj, (tree, _) = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
     pl = tree.cfg
     reset_configuration(obj, Mode.SEARCH)
     with pytest.raises(QuiescenceError):
