@@ -15,7 +15,8 @@ at position ``q`` of a level of size ``N`` then sit at ``q, q + N, q + 2N,
 shift-and-OR per slot, and so is broadcasting a parent bit to its children.
 Word rotation is a change of plane index.  A cycle costs O(h * eta) big-int
 operations instead of O(n) Python calls.  The word and ``perm_disabled``
-planes can last from run to run, so a loaded tree needs no node objects.
+planes last from run to run, so a loaded tree needs no node objects;
+``LoadedTree.configuration`` builds them as a copy.
 
 The rules below mirror the transition functions of ``node.py`` one for one;
 the tests compare every ``NodeState`` field after every cycle against the
@@ -99,9 +100,9 @@ class _Level:
     run.  ``rot`` counts this run's word rotations (at the root, ``writes``).
     """
 
-    __slots__ = ("nodes", "n", "mask", "k", "words", "perm", "rot", "shown_rot",
-                 "state", "start", "match", "link_mem", "links", "phase1_match",
-                 "clock", "acted", "listen", "in_parent", "in_children")
+    __slots__ = ("n", "mask", "k", "words", "perm", "rot", "state", "start", "match",
+                 "link_mem", "links", "phase1_match", "clock", "acted", "listen",
+                 "in_parent", "in_children")
 
     def __init__(self, values: list[int], perm: int, k: int, w: int) -> None:
         self.n, self.k, self.perm = len(values), k, perm
@@ -111,7 +112,7 @@ class _Level:
         # the low end of every int.
         text = "".join(map(bin, map(or_, reversed(values), repeat(1 << w))))
         self.words = [int(text[3 + j::w + 3], 2) for j in range(w)]
-        self.nodes, self.rot = None, 0
+        self.rot = 0
 
     def aligned(self, w: int) -> list[int]:
         """The word planes rotated so plane j holds bit j of the words as
@@ -125,12 +126,7 @@ class LoadedTree:
     planes, and the scheme runs on them.
 
     ``load`` is the only constructor; ``layout`` lists each level's ids by
-    position.  The tree stays in planes until ``cfg`` is first read, which
-    builds node objects holding the current state.
-    From then on the tree is in object form: every ``rearm`` packs the words
-    and ``perm_disabled`` flags from ``cfg``, every plane run writes every
-    node's state back, and results are read from ``cfg``, so a
-    configuration or node a caller holds is never stale.
+    position.  ``configuration`` copies the state into node objects.
     """
 
     @classmethod
@@ -140,41 +136,32 @@ class LoadedTree:
         the rest ``pad_word``, permanently disabled if ``disable_padding``."""
         tree = cls()
         p = topo.params
-        tree.topo, tree.w, tree._cfg = topo, p.word_size, None
+        tree.topo, tree.w = topo, p.word_size
         tree.layout, tree._where = _layout(p.eta, p.height)
         tree.occupied = frozenset(range(1, len(elements) + 1))
         pad = topo.n - 1 - len(elements)
-        tree._pack([root_word, *elements, *repeat(pad_word, pad)],
-                   bytes(1 + len(elements)) + bytes([disable_padding]) * pad)
-        tree.rearm(mode)
-        return tree
-
-    def _pack(self, words: Sequence[int], perm: Sequence[int]) -> None:
-        p = self.topo.params
-        last = len(self.layout) - 1
-        self.levels = [
+        words = [root_word, *elements, *repeat(pad_word, pad)]
+        perm = bytes(1 + len(elements)) + bytes([disable_padding]) * pad
+        last = len(tree.layout) - 1
+        tree.levels = [
             _Level(list(map(words.__getitem__, ids)),
                    int(bytes(map(perm.__getitem__, reversed(ids))).translate(_TRUTH), 2),
-                   0 if d == last else (p.eta + 1 if d == 0 else p.eta), self.w)
-            for d, ids in enumerate(self.layout)]
+                   0 if d == last else (p.eta + 1 if d == 0 else p.eta), tree.w)
+            for d, ids in enumerate(tree.layout)]
+        tree.rearm(mode)
+        return tree
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
         """Apply ``reset_flags`` for ``mode`` to every level; the words keep
         their value, and ``link_mem`` comes up from ``perm``."""
         if mode is Mode.IDLE:
             raise ValueError("cannot reset a node into idle mode")
-        cfg = self._cfg
-        if cfg is not None:
-            self._pack(list(map(attrgetter("word"), cfg.nodes)),
-                       list(map(attrgetter("flags.perm_disabled"), cfg.nodes)))
-            for lv, ids in zip(self.levels, self.layout):
-                lv.nodes = list(map(cfg.nodes.__getitem__, ids))
         self.mode, self.phase1_only, self.cycle = mode, phase1_only, 0
         last = len(self.levels) - 1
         for d, lv in enumerate(self.levels):
             lv.words = lv.aligned(self.w)
             lv.link_mem = lv.perm
-            lv.links = lv.rot = lv.shown_rot = lv.clock = lv.listen = 0
+            lv.links = lv.rot = lv.clock = lv.listen = 0
             lv.acted = False
             lv.phase1_match = lv.in_parent = lv.in_children = None
             if mode is Mode.SEARCH:
@@ -185,49 +172,22 @@ class LoadedTree:
                 lv.state = lv.mask * lv.start
                 lv.match = lv.mask
 
-    @property
-    def cfg(self) -> Configuration:
-        """The tree as node objects.  The first read builds them holding the
-        current state, which is the reset state if nothing has stepped since
-        ``rearm``."""
-        if self._cfg is None:
-            topo, nodes = self.topo, []
-            for lv, ids in zip(self.levels, self.layout):
-                lv.nodes = list(map(make_node, repeat(topo), ids, _unpack(lv.aligned(self.w), lv.n)))
-                lv.shown_rot = lv.rot % self.w
-                for nd, perm in zip(lv.nodes, _bits(lv.perm, lv.n)):
-                    nd.flags.perm_disabled = perm
-                nodes += lv.nodes
-            nodes.sort(key=attrgetter("id"))
-            self._cfg = Configuration(topo=topo, nodes=nodes)
-            self.write_back()
-        return self._cfg
-
     def check_mode(self, mode: Mode) -> None:
         """Refuse a run in a mode other than the one last loaded or reset."""
-        loaded = self.mode if self._cfg is None else self._cfg.mode
-        if loaded is not mode:
-            raise ValueError(f"tree is loaded for {loaded.value}, not {mode.value}")
+        if self.mode is not mode:
+            raise ValueError(f"tree is loaded for {self.mode.value}, not {mode.value}")
 
     @property
     def root_word(self) -> int:
-        if self._cfg is not None:
-            return self._cfg.root.word
         return _unpack(self.levels[0].aligned(self.w), 1)[0]
 
     @root_word.setter
     def root_word(self, word: int) -> None:
-        if self._cfg is not None:
-            self._cfg.root.word = word
-            return
         root, w = self.levels[0], self.w
         root.words, root.rot = [(word >> (w - 1 - j)) & 1 for j in range(w)], 0
 
     def bit(self, name: str, node: int) -> int:
         """Node ``node``'s ``state``, ``match`` or ``phase1_match`` bit (0 if unset)."""
-        if self._cfg is not None:
-            nd = self._cfg.nodes[node]
-            return (nd.phase1_match or 0) if name == "phase1_match" else getattr(nd.flags, name)
         d, p = self._where[node]
         plane = getattr(self.levels[d], name)
         return 0 if plane is None else (plane >> p) & 1
@@ -235,18 +195,15 @@ class LoadedTree:
     def disable(self, nodes: Iterable[int]) -> None:
         """Set ``perm_disabled`` on ``nodes``; the next ``rearm`` applies it."""
         for i in nodes:
-            if self._cfg is not None:
-                self._cfg.nodes[i].flags.perm_disabled = 1
-            else:
-                d, p = self._where[i]
-                self.levels[d].perm |= 1 << p
+            d, p = self._where[i]
+            self.levels[d].perm |= 1 << p
 
     def step(self) -> None:
         """Advance one global cycle.
 
         Dispatching here, instead of keeping a bound method on the instance,
         leaves the run free of reference cycles, so reference counting frees
-        it, and the configuration it points to, as soon as it ends.
+        it as soon as it ends.
         """
         if self.mode is Mode.SEARCH:
             self._step_search()
@@ -357,26 +314,21 @@ class LoadedTree:
     def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
         """``rearm`` and step to quiescence; return the cycles.  ``on_step(tree)``
-        follows the ``rearm`` and every cycle.  A tree in object form gets
-        the final state, also on ``QuiescenceError``."""
+        follows the ``rearm`` and every cycle."""
         self.rearm(mode, phase1_only=phase1_only)
         if on_step is not None:
             on_step(self)
-        try:
-            for _ in range(max_cycles):
-                self.step()
-                if on_step is not None:
-                    on_step(self)
-                if self.quiescent():
-                    break
-            else:
-                raise _budget_exhausted(mode, self.topo.params, max_cycles)
-        finally:
-            if self._cfg is not None:
-                self.write_back()
+        for _ in range(max_cycles):
+            self.step()
+            if on_step is not None:
+                on_step(self)
+            if self.quiescent():
+                break
+        else:
+            raise _budget_exhausted(mode, self.topo.params, max_cycles)
         if mode is Mode.SEARCH and not phase1_only and any(
                 lv.state or lv.match for lv in self.levels[1:]):
-            _validate_quiescent(self.cfg)  # names the node
+            _validate_quiescent(self.configuration())  # names the node
         return self.cycle
 
     def quiescent(self) -> bool:
@@ -388,30 +340,29 @@ class LoadedTree:
             return all(lv.clock > w for lv in levels)
         return levels[0].clock > w and levels[0].listen >= 2 * len(levels) - 1
 
-    def write_back(self) -> None:
-        """Store every node's state, as the object engine would hold it."""
-        cfg, w = self._cfg, self.w
-        cfg.mode, cfg.global_cycle, cfg.phase1_only = self.mode, self.cycle, self.phase1_only
+    def configuration(self) -> Configuration:
+        """A new ``Configuration`` holding the tree's current state, every
+        ``NodeState`` field as the object engine would hold it.  Runs never
+        change the copy, and writes to it never reach the tree."""
+        topo, w = self.topo, self.w
         neutral = 1 if self.mode is Mode.MIN else 0
-        for d, lv in enumerate(self.levels):
-            n, k, r = lv.n, lv.k, lv.rot % w
-            if d == 0:
-                lv.nodes[0].word = _unpack(lv.aligned(w), 1)[0]
-            elif r != lv.shown_rot:  # the nodes hold the words rotated by shown_rot
-                for nd, v in zip(lv.nodes, _unpack(lv.aligned(w), n)):
-                    nd.word = v
-                lv.shown_rot = r
+        nodes = []
+        for d, (lv, ids) in enumerate(zip(self.levels, self.layout)):
+            n, k = lv.n, lv.k
             start, clock, acted, listen, parent = \
                 lv.start, lv.clock, lv.acted, lv.listen, lv.in_parent
             writes = 0 if d else lv.rot
             child_count = 0 if lv.in_children is None else k
             p1 = lv.phase1_match
-            rows = zip(lv.nodes, _bits(lv.state, n), _bits(lv.match, n),
-                       _bits(lv.link_mem, n), repeat(None) if p1 is None else _bits(p1, n),
+            rows = zip(ids, _unpack(lv.aligned(w), n), _bits(lv.perm, n),
+                       _bits(lv.state, n), _bits(lv.match, n), _bits(lv.link_mem, n),
+                       repeat(None) if p1 is None else _bits(p1, n),
                        _per_node(lv.links, n, k), _per_node(lv.in_children, n, k))
-            for nd, state, match, link_mem, phase1_match, links, inbox in rows:
+            for i, word, perm, state, match, link_mem, phase1_match, links, inbox in rows:
+                nd = make_node(topo, i, word)
                 f = nd.flags
                 f.state, f.start, f.match, f.link_mem = state, start, match, link_mem
+                f.perm_disabled = perm
                 f.link_child[:] = links
                 nd.local_clock, nd.acted, nd.neutral = clock, acted, neutral
                 nd.writes, nd.listen_steps = writes, listen
@@ -419,4 +370,6 @@ class LoadedTree:
                 ib = nd.inbox
                 ib.parent, ib.child_count = parent, child_count
                 ib.children[:] = inbox
-
+                nodes.append(nd)
+        nodes.sort(key=attrgetter("id"))
+        return Configuration(topo, nodes, self.mode, self.cycle, self.phase1_only)

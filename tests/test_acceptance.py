@@ -76,10 +76,10 @@ def test_worked_example_max():
     with criterion("worked example: max", budget_s=1.0):
         topo = cached_topology(2, 3, 4)
         tree = load_list(topo, MAX_LIST, Mode.MAX)
-        before = [n.word for n in tree.cfg.nodes[1:]]
+        before = [n.word for n in tree.configuration().nodes[1:]]
         result = compute_max(tree)
         assert result.value == 14
-        after = [n.word for n in tree.cfg.nodes[1:]]
+        after = [n.word for n in tree.configuration().nodes[1:]]
         assert after == before
 
 
@@ -183,7 +183,7 @@ def test_space_claim_arithmetic():
 def _observe_search_monotonicity(topo, els, key):
     w = topo.params.word_size
     tree = load_list(topo, els, Mode.SEARCH, key=key)
-    cfg = tree.cfg
+    cfg = tree.configuration()
     prev_match = {n.id: n.flags.match for n in cfg.nodes}
     prev_root_state = None
     for _ in range(w + 2 * topo.params.height):
@@ -204,7 +204,7 @@ def _observe_search_monotonicity(topo, els, key):
 
 def _observe_link_monotonicity(topo, els, mode):
     tree = load_list(topo, els, mode)
-    cfg = tree.cfg
+    cfg = tree.configuration()
     prev = [(n.flags.link_mem, tuple(n.flags.link_child)) for n in cfg.nodes]
     for _ in range(topo.params.word_size + topo.params.height):
         step(cfg)
@@ -255,7 +255,7 @@ def test_disabled_subtree_soundness():
             # the adversarial fill is the value that would win if it leaked
             poison = limit - 1 if mode is Mode.MAX else 0
             tree = load_list(topo, els, mode)
-            cfg = tree.cfg
+            cfg = tree.configuration()
             for _ in range(w + h):
                 step(cfg)
                 for n in cfg.nodes:

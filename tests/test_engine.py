@@ -28,7 +28,7 @@ ELEMENTS = [14, 9, 6, 10, 14, 7, 11, 11, 10]
 
 
 def _search_cfg(topo, key=9):
-    return load_list(topo, ELEMENTS[: topo.n - 1], Mode.SEARCH, key=key).cfg
+    return load_list(topo, ELEMENTS[: topo.n - 1], Mode.SEARCH, key=key).configuration()
 
 
 def test_idle_configuration_cannot_step(topo_2_3_4):
@@ -51,7 +51,7 @@ def test_initiate_travels_one_level_per_cycle():
 
 
 def test_max_initiate_travels_upward(topo_2_3_4):
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).cfg
+    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
     assert cfg.root.flags.start == 0
     step(cfg)  # leaves emit the initiate
     assert all(cfg.nodes[i].flags.start == 0 for i in (1, 2, 3))
@@ -95,12 +95,12 @@ def test_exact_cycle_counts(topo_2_3_4):
     cfg = _search_cfg(topo_2_3_4)
     _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + 2 * h
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).cfg
+    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
     _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + h
     tree = load_list(topo_2_3_4, ELEMENTS[:8], Mode.SEARCH, key=3)
-    reset_configuration(tree.cfg, Mode.SEARCH, phase1_only=True)
-    _, cycles = run_until_quiescent(tree.cfg, default_cycle_budget(topo_2_3_4))
+    cfg = reset_configuration(tree.configuration(), Mode.SEARCH, phase1_only=True)
+    _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + h
 
 
@@ -116,7 +116,7 @@ def test_snapshot_copies_state(topo_2_3_4):
 
 
 def test_snapshot_after_max_run_shows_answer_at_root(topo_2_3_4):
-    cfg = load_list(topo_2_3_4, [14, 9, 5, 14, 7, 11, 10, 10], Mode.MAX).cfg
+    cfg = load_list(topo_2_3_4, [14, 9, 5, 14, 7, 11, 10, 10], Mode.MAX).configuration()
     run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert snapshot(cfg)[0].word == 14
 
@@ -136,7 +136,7 @@ def test_trace_stream_round_trip(topo_2_3_4):
     meta, events = segments[0]
     assert meta["mode"] == "search"
 
-    replay = tree_from_events(meta, events).cfg
+    replay = tree_from_events(meta, events).configuration()
     out = [e.to_json() for e in snapshot(replay)]
 
     def on_step2(c, emissions):
@@ -165,7 +165,7 @@ def test_trace_event_field_set(topo_2_3_4):
 
 def test_trace_event_fields_equal_its_parsed_json_line(topo_2_3_4):
     # Trace replay compares events with parsed records field by field.
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).cfg
+    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
     events = snapshot(cfg, step(cfg, capture=True))
     assert [json.loads(e.to_json()) for e in events] == [e._asdict() for e in events]
 
@@ -175,7 +175,7 @@ def test_emitted_ports_in_trace(topo_2_3_4):
     emissions = step(cfg, capture=True)
     events = snapshot(cfg, emissions)
     assert events[0].emitted == {"c0": 1, "c1": 1, "c2": 1}  # root initiate
-    cfg2 = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).cfg
+    cfg2 = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
     emissions = step(cfg2, capture=True)
     events = snapshot(cfg2, emissions)
     assert all(events[leaf].emitted == {"parent": 1} for leaf in topo_2_3_4.leaves)

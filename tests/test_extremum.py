@@ -25,7 +25,7 @@ def test_worked_example_max(topo_2_3_4):
 def test_worked_example_restores_words(topo_2_3_4):
     tree = load_list(topo_2_3_4, FIG_ELEMENTS, Mode.MAX)
     compute_max(tree)
-    values = [tree.cfg.nodes[i].word for i in range(1, 10)]
+    values = [tree.configuration().nodes[i].word for i in range(1, 10)]
     assert values == FIG_ELEMENTS + [0]  # originals plus one padding slot
 
 
@@ -37,7 +37,7 @@ def test_min_of_worked_example(topo_2_3_4):
 def test_all_equal_list_disables_nothing(topo_2_3_4):
     tree = load_list(topo_2_3_4, [5, 5, 5, 5, 5, 5, 5, 5, 5], Mode.MAX)
     assert compute_max(tree).value == 5
-    for node in tree.cfg.nodes:
+    for node in tree.configuration().nodes:
         assert node.flags.link_mem == 0
         assert all(b == 0 for b in node.flags.link_child)
 
@@ -99,7 +99,7 @@ def test_link_flags_only_rise_within_a_run(topo_2_3_4):
     for _ in range(30):
         els = [rng.randrange(16) for _ in range(9)]
         tree = load_list(topo_2_3_4, els, Mode.MAX)
-        cfg = tree.cfg
+        cfg = tree.configuration()
         prev = [(n.flags.link_mem, tuple(n.flags.link_child)) for n in cfg.nodes]
         for _ in range(7):
             step(cfg)
@@ -128,7 +128,7 @@ def test_cut_subtrees_cannot_change_the_answer(topo_2_3_4):
     for _ in range(50):
         els = [rng.randrange(16) for _ in range(9)]
         tree = load_list(topo, els, Mode.MAX)
-        cfg = tree.cfg
+        cfg = tree.configuration()
         expected = max(els)
         for _ in range(7):
             step(cfg)

@@ -69,7 +69,7 @@ def test_words_survive_the_whole_sort(topo_2_3_4):
     assert result.output == oracle_sort_desc(ELEMENTS)
     # sort() builds its own tree, so check by sorting a fresh load manually
     for i, x in enumerate(ELEMENTS, start=1):
-        assert tree.cfg.nodes[i].word == x
+        assert tree.configuration().nodes[i].word == x
 
 
 def test_order_independence(topo_2_3_4):
@@ -113,7 +113,7 @@ def test_words_restored_before_every_round(topo_2_3_4):
     )
 
     tree = load_list(topo_2_3_4, ELEMENTS, Mode.MAX)
-    cfg = tree.cfg
+    cfg = tree.configuration()
     budget = default_cycle_budget(topo_2_3_4)
     live = set(tree.occupied)
     rounds = 0

@@ -1,4 +1,4 @@
-"""One loaded tree reused across many runs, with words and flags changed
+"""One loaded tree reused across many runs, with nodes permanently disabled
 between runs, checked against the oracles and an object-engine twin."""
 
 from hypothesis import settings, strategies as st
@@ -17,8 +17,8 @@ class ReusedTree(RuleBasedStateMachine):
     """``tree`` runs on the bit-plane engine; ``twin``, a configuration of
     node objects, runs on the object engine.
 
-    Both see the same runs and the same writes between runs, so any state
-    the plane engine fails to repack or write back shows up as a
+    Both see the same runs and the same nodes disabled between runs, so any
+    state the plane engine fails to carry from run to run shows up as a
     difference in answers or in full node state.
     """
 
@@ -33,10 +33,10 @@ class ReusedTree(RuleBasedStateMachine):
         els = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=self.topo.n - 1))
         key = 0 if mode is Mode.SEARCH else None
         self.tree = load_list(self.topo, els, mode, key=key)
-        self.twin = load_list(self.topo, els, mode, key=key).cfg
+        self.twin = load_list(self.topo, els, mode, key=key).configuration()
 
     def _live_words(self):
-        return [nd.word for nd in self.tree.cfg.nodes[1:]
+        return [nd.word for nd in self.tree.configuration().nodes[1:]
                 if not nd.flags.perm_disabled]
 
     @rule(data=st.data())
@@ -46,10 +46,10 @@ class ReusedTree(RuleBasedStateMachine):
             got = search(self.tree, key, collect_matches=True)
             assert got == object_search(self.twin, key, self.tree.occupied)
             assert got.found == oracle_search(self._live_words(), key)
+            nodes = self.tree.configuration().nodes
             assert got.matched_nodes == {
                 i for i in self.tree.occupied
-                if not self.tree.cfg.nodes[i].flags.perm_disabled
-                and self.tree.cfg.nodes[i].word == key}
+                if not nodes[i].flags.perm_disabled and nodes[i].word == key}
         else:
             which = "max" if self.mode is Mode.MAX else "min"
             compute = compute_max if self.mode is Mode.MAX else compute_min
@@ -60,23 +60,15 @@ class ReusedTree(RuleBasedStateMachine):
             assert got.value == expected
 
     @rule(data=st.data())
-    def replace_word(self, data):
+    def disable(self, data):
         i = data.draw(st.integers(1, self.topo.n - 1))
-        value = data.draw(st.integers(0, (1 << self.w) - 1))
-        for cfg in (self.tree.cfg, self.twin):
-            cfg.nodes[i].word = value
-
-    @rule(data=st.data())
-    def set_perm_disabled(self, data):
-        i = data.draw(st.integers(1, self.topo.n - 1))
-        flag = data.draw(st.integers(0, 1))
-        for cfg in (self.tree.cfg, self.twin):
-            cfg.nodes[i].flags.perm_disabled = flag
+        self.tree.disable([i])
+        self.twin.nodes[i].flags.perm_disabled = 1
 
     @invariant()
     def same_state(self):
         if hasattr(self, "tree"):
-            assert full_state(self.tree.cfg) == full_state(self.twin)
+            assert full_state(self.tree.configuration()) == full_state(self.twin)
 
 
 ReusedTree.TestCase.settings = settings(max_examples=60, stateful_step_count=12,
