@@ -72,7 +72,9 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
     nodes are permanently disabled with match pre-forced to 0, so a key
     that happens to equal the padding word can never produce a false hit.
     """
-    return _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
+    tree = _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
+    tree.rearm(mode)
+    return tree
 
 
 def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
@@ -157,10 +159,11 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
 
     Each round: run the tournament (the root ends up holding the current
     extremum, which doubles as the next search key), reset for searching,
-    run the comparison phase only, then permanently disable every occupied
-    node whose match survived and append the value once per such node.
-    Rounds repeat until every occupied node is retired, so the round count
-    equals the number of distinct values.  ``on_step`` observes every cycle
+    run the comparison phase only, then permanently disable every node whose
+    match survived and append the value once per such node.  The live set is
+    the nodes below the root that are still enabled, so a level's ``match``
+    plane is what the round retires.  Rounds repeat until every occupied node
+    is retired, so the round count equals the number of distinct values.  ``on_step`` observes every cycle
     of both runs of every round; an empty list runs nothing.
     """
     if order not in ("desc", "asc"):
@@ -174,21 +177,21 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     tree = _load(topo, elements, mode, None, disable_padding=True)
     output: list[int] = []
     per_round: list[int] = []
-    live = set(tree.occupied)
-    while live:
+    below = tree.levels[1:]
+    while any(lv.perm != lv.mask for lv in below):
         cycles_a = _run(tree, mode, on_step)
         value = tree.root_word
 
         cycles_b = _run(tree, Mode.SEARCH, on_step, phase1_only=True)
 
-        matched = [i for i in live if tree.bit("match", i)]
-        if not matched:
-            raise ProtocolError(
-                f"sort round found no node holding {value}; live set {sorted(live)}"
-            )
-        tree.disable(matched)
-        live.difference_update(matched)
-        output.extend([value] * len(matched))
+        copies = sum(lv.match.bit_count() for lv in below)
+        if not copies:
+            live = sorted(i for lv, ids in zip(below, tree.layout[1:])
+                          for p, i in enumerate(ids) if not lv.perm >> p & 1)
+            raise ProtocolError(f"sort round found no node holding {value}; live set {live}")
+        for lv in below:
+            lv.perm |= lv.match
+        output.extend([value] * copies)
         per_round.append(cycles_a + cycles_b)
     return SortResult(
         output=output,

@@ -26,7 +26,7 @@ object engine, which stays the executable specification.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, or_
 from typing import Callable, Iterable, Sequence
 
@@ -77,20 +77,64 @@ def _per_node(plane: int | None, n: int, k: int):
     return zip(*[bits[s * n:(s + 1) * n] for s in range(k)])
 
 
-def _combine(plane: int, n: int, k: int) -> int:
-    """OR the ``k`` child slots of a child-level plane into parent positions."""
-    out = 0
-    for s in range(k):
-        out |= plane >> (s * n)
-    return out & ((1 << n) - 1)
+# The data operations of a cycle, each over a range of depths.  Search: the
+# root sends the initiate or a key bit, or reads the relay; a level takes the
+# initiate or a key bit; a relaying level keeps its phase-1 match on its
+# first relay cycle and passes its match up with (RELAY) or without (FIRST,
+# DRAIN) a latched child plane.  Max/min: a level takes the initiate or a
+# child plane (COMBINE), and the leaves send their next bit.
+_SEND, _LISTEN, _INITIATE, _KEY, _FIRST, _DRAIN, _RELAY, _COMBINE, _LEAF = range(9)
 
 
-def _spread(plane: int, n: int, k: int) -> int:
-    """Copy a parent-level plane into all ``k`` child slots."""
-    out = 0
-    for s in range(k):
-        out |= plane << (s * n)
-    return out
+@lru_cache(maxsize=256)
+def _schedule(search: bool, h: int, w: int, phase1_only: bool
+              ) -> tuple[tuple[tuple[int, int, int], ...], ...] | None:
+    """Per cycle of a run from the reset, its data operations as ``(op,
+    first depth, last depth + 1)`` ranges in depth order; None for a
+    tournament on a lone root, which never starts.  The length is the run's
+    cycle count.
+
+    Each level's control follows its local time: the cycle minus its depth
+    in a search, minus its height above the leaves in a tournament.  A
+    level below the root takes the initiate at local time 0 and a key bit
+    or child plane at 1..w; a searching level then relays from w + 1 on,
+    with a child plane latched from w + 3 on, except at the leaves.  The
+    levels at one stage of that program are consecutive, so a cycle has a
+    few ranges at any height.
+    """
+    last, phase2 = h - 1, search and not phase1_only
+    if search:
+        # Stages as (op, first, last local time), latest first: depth order.
+        stages = [(_RELAY, w + 3, None), (_DRAIN, w + 2, w + 2), (_FIRST, w + 1, w + 1)
+                  ] if phase2 else []
+        stages += [(_KEY, 1, w), (_INITIATE, 0, 0)]
+    elif last:
+        stages = [(_INITIATE, 0, 0), (_COMBINE, 1, w)]
+    else:
+        return None
+    cycles = []
+    for t in range(w + 2 * h if phase2 else w + h):
+        ranges = []
+        if search:
+            if t <= w:
+                ranges.append((_SEND, 0, 1))
+            elif phase2 and last and t >= w + 3:
+                ranges.append((_LISTEN, 0, 1))
+            for op, first, end in stages:
+                lo, hi = max(1, 1 if end is None else t - end), min(last, t - first) + 1
+                if lo < hi and op == _RELAY and hi > last:  # no child plane at the leaves
+                    ranges += [(_RELAY, lo, last)] * (lo < last) + [(_DRAIN, last, hi)]
+                elif lo < hi:
+                    ranges.append((op, lo, hi))
+        else:
+            for op, first, end in stages:
+                lo, hi = max(0, first + last - t), min(last - 1, end + last - t) + 1
+                if lo < hi:
+                    ranges.append((op, lo, hi))
+            if 1 <= t <= w:
+                ranges.append((_LEAF, last, h))
+        cycles.append(tuple(ranges))
+    return tuple(cycles)
 
 
 class _Level:
@@ -100,13 +144,18 @@ class _Level:
     run.  ``rot`` counts this run's word rotations (at the root, ``writes``).
     """
 
-    __slots__ = ("n", "mask", "k", "words", "perm", "rot", "state", "start", "match",
-                 "link_mem", "links", "phase1_match", "clock", "acted", "listen",
-                 "in_parent", "in_children")
+    __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state", "start", "match",
+                 "link_mem", "links", "phase1_match", "clock", "listen", "in_parent",
+                 "in_children")
 
     def __init__(self, values: list[int], perm: int, k: int, w: int) -> None:
         self.n, self.k, self.perm = len(values), k, perm
         self.mask = (1 << self.n) - 1
+        # Child slot s of a position sits s * n bits above it.  Copies of an
+        # n-bit plane at those offsets never overlap, so one product by
+        # ``spread`` broadcasts a plane to all k slots.
+        self.shifts = range(self.n, k * self.n, self.n)
+        self.spread = sum(1 << s for s in range(0, k * self.n, self.n))
         # Plane j holds word bit j (MSB first).  bin(v | 1 << w) spells every
         # word as "0b1" plus exactly w digits; reversing puts position 0 at
         # the low end of every int.
@@ -148,7 +197,7 @@ class LoadedTree:
                    int(bytes(map(perm.__getitem__, reversed(ids))).translate(_TRUTH), 2),
                    0 if d == last else (p.eta + 1 if d == 0 else p.eta), tree.w)
             for d, ids in enumerate(tree.layout)]
-        tree.rearm(mode)
+        tree.mode = mode  # the next run, or rearm, resets the flags
         return tree
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
@@ -162,7 +211,6 @@ class LoadedTree:
             lv.words = lv.aligned(self.w)
             lv.link_mem = lv.perm
             lv.links = lv.rot = lv.clock = lv.listen = 0
-            lv.acted = False
             lv.phase1_match = lv.in_parent = lv.in_children = None
             if mode is Mode.SEARCH:
                 lv.state = lv.start = 0 if d else 1
@@ -198,147 +246,108 @@ class LoadedTree:
             d, p = self._where[i]
             self.levels[d].perm |= 1 << p
 
-    def step(self) -> None:
-        """Advance one global cycle.
-
-        Dispatching here, instead of keeping a bound method on the instance,
-        leaves the run free of reference cycles, so reference counting frees
-        it as soon as it ends.
-        """
-        if self.mode is Mode.SEARCH:
-            self._step_search()
-        else:
-            self._step_max()
-
-    def _step_search(self) -> None:
-        """receive_search then send_search, for every level."""
-        w, levels = self.w, self.levels
-        phase2 = not self.phase1_only
-        root = levels[0]
-        if root.clock > w and phase2:
-            root.listen += 1
-            if root.in_children:
-                root.state = 1
-        root.in_children = None
-        for lv in levels[1:]:
-            if lv.clock <= w:
-                b = lv.in_parent
-                if b is not None:
-                    lv.state = lv.mask * b
-                    if not lv.start:
-                        lv.start = b
-                    else:
-                        plane = lv.words[lv.clock - 1]  # searching never rotates
-                        lv.match &= plane if b else ~plane
-                    lv.acted = True
-            elif phase2:
-                if lv.phase1_match is None:
-                    lv.phase1_match = lv.match
-                kids = lv.in_children
-                lv.state = (_combine(kids, lv.n, lv.k) if kids else 0) | lv.match
-                lv.match = 0
-                lv.acted = True
-            lv.in_parent = lv.in_children = None
-
-        c = root.clock
-        root.clock = c + 1
-        if c <= w:
-            # The initiate, then the key MSB first.
-            down = root.words[c - 1] if c else 1
-            root.state = 0 if c == w else down
-            if len(levels) > 1:
-                levels[1].in_parent = down
-        for d in range(1, len(levels)):
-            lv = levels[d]
-            if lv.acted:
-                lv.acted = False
-                lv.clock += 1
-                if lv.clock > w + 1:
-                    levels[d - 1].in_children = lv.state
-                elif d + 1 < len(levels):
-                    # Key bits are broadcast, so the whole level holds one bit.
-                    levels[d + 1].in_parent = 1 if lv.state else 0
-        self.cycle += 1
-
-    def _step_max(self) -> None:
-        """receive_max then send_max, for every level.  Min runs as an OR
-        tournament on inverted bits, so one set of rules serves both."""
-        w, levels = self.w, self.levels
-        invert = self.mode is Mode.MIN
-        last = len(levels) - 1
-        for d in range(last):
-            lv = levels[d]
-            kids = lv.in_children
-            if kids is None:
-                continue
-            lv.in_children = None
-            lv.acted = True
-            if not lv.start:
-                # The initiate: every child sends a 1 on its first cycle.
-                lv.start = 1
-                lv.state = lv.mask
-                continue
-            n, k = lv.n, lv.k
-            if invert:
-                kids ^= levels[d + 1].mask
-            s = _combine(kids & ~lv.links, n, k)
-            if d:
-                own = lv.words[lv.rot % w] ^ (lv.mask if invert else 0)
-                s |= own & ~lv.link_mem
-                lv.link_mem |= s & ~own
-            lv.links |= _spread(s, n, k) & ~kids
-            lv.state = s ^ (lv.mask if invert else 0)
-            if not d:
-                lv.words[lv.rot % w] = lv.state
-            lv.rot += 1
-
-        if last and levels[last].clock <= w:
-            leaves = levels[last]
-            # At clock 0 the leaves send the initiate, the 1 that the reset
-            # left in their state.
-            if leaves.clock:
-                msb = leaves.words[leaves.rot % w]
-                leaves.state = msb | leaves.link_mem if invert else msb & ~leaves.link_mem
-                leaves.rot += 1
-            leaves.clock += 1
-            levels[last - 1].in_children = leaves.state
-        for d in range(1, last):
-            lv = levels[d]
-            if lv.acted:
-                lv.acted = False
-                lv.clock += 1
-                levels[d - 1].in_children = lv.state
-        levels[0].acted = False
-        self.cycle += 1
-
     def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
-        """``rearm`` and step to quiescence; return the cycles.  ``on_step(tree)``
-        follows the ``rearm`` and every cycle."""
+        """``rearm``, then run the shape's schedule to quiescence; return the
+        cycles.  ``on_step(tree)`` follows the ``rearm`` and every cycle, with
+        the control values written for it to read."""
         self.rearm(mode, phase1_only=phase1_only)
+        levels, w = self.levels, self.w
+        last, root = len(levels) - 1, levels[0]
+        cycles = _schedule(mode is Mode.SEARCH, len(levels), w, phase1_only)
         if on_step is not None:
             on_step(self)
-        for _ in range(max_cycles):
-            self.step()
+        key, inv = root.words, mode is Mode.MIN  # searching never rotates
+        steps = repeat((), max_cycles) if cycles is None else islice(cycles, max_cycles)
+        for t, ranges in enumerate(steps):
+            for op, lo, hi in ranges:
+                if op == _COMBINE:  # receive_max; the j-th child plane turns rot to j
+                    for d in range(lo, hi):
+                        lv, below = levels[d], levels[d + 1]
+                        r = t - last + d - 1
+                        kids = below.state ^ below.mask if inv else below.state
+                        s = x = kids & ~lv.links
+                        for shift in lv.shifts:  # OR the child slots together
+                            s |= x >> shift
+                        s &= lv.mask
+                        if d:
+                            own = lv.words[r] ^ lv.mask if inv else lv.words[r]
+                            s |= own & ~lv.link_mem
+                            lv.link_mem |= s & ~own
+                        lv.links |= s * lv.spread & ~kids
+                        lv.state = s ^ lv.mask if inv else s
+                        if not d:
+                            lv.words[r] = lv.state
+                elif op == _RELAY:
+                    for d in range(lo, hi):
+                        lv, s = levels[d], levels[d + 1].state
+                        if s:  # the relay wave is sparse in depth
+                            x = s
+                            for shift in lv.shifts:
+                                s |= x >> shift
+                        lv.state, lv.match = s & lv.mask | lv.match, 0
+                elif op == _KEY:  # key bit j reaches depth d at cycle d + j + 1
+                    for d in range(lo, hi):
+                        lv, j = levels[d], t - d - 1
+                        plane = lv.words[j]
+                        if key[j]:
+                            lv.state, lv.match = lv.mask, lv.match & plane
+                        else:
+                            lv.state, lv.match = 0, lv.match & ~plane
+                elif op == _LEAF:
+                    lv = levels[last]
+                    msb = lv.words[t - 1]
+                    lv.state = msb | lv.link_mem if inv else msb & ~lv.link_mem
+                elif op == _INITIATE:
+                    for lv in levels[lo:hi]:
+                        lv.state = lv.mask
+                elif op == _SEND:  # the initiate, then the key MSB first
+                    root.state = 0 if t == w else key[t - 1] if t else 1
+                elif op == _LISTEN:
+                    if levels[1].state:
+                        root.state = 1
+                else:  # _FIRST or _DRAIN: no child plane is latched
+                    for lv in levels[lo:hi]:
+                        if op == _FIRST:
+                            lv.phase1_match = lv.match
+                        lv.state, lv.match = lv.match, 0
             if on_step is not None:
+                self._set_control(t + 1)
                 on_step(self)
-            if self.quiescent():
-                break
-        else:
+        if cycles is None or len(cycles) > max_cycles:
+            self._set_control(max_cycles)
             raise _budget_exhausted(mode, self.topo.params, max_cycles)
+        if on_step is None:
+            self._set_control(len(cycles))
         if mode is Mode.SEARCH and not phase1_only and any(
-                lv.state or lv.match for lv in self.levels[1:]):
+                lv.state or lv.match for lv in levels[1:]):
             _validate_quiescent(self.configuration())  # names the node
         return self.cycle
 
-    def quiescent(self) -> bool:
-        """``engine._quiescent``, on levels."""
-        w, levels = self.w, self.levels
-        if self.mode is not Mode.SEARCH:
-            return levels[0].rot >= w and (len(levels) == 1 or levels[-1].clock > w)
-        if self.phase1_only:
-            return all(lv.clock > w for lv in levels)
-        return levels[0].clock > w and levels[0].listen >= 2 * len(levels) - 1
+    def _set_control(self, cycle: int) -> None:
+        """Write every level's control values after ``cycle`` cycles of the
+        run, from its local time (see ``_schedule``); a latched bit or plane
+        is read off its sender."""
+        self.cycle, levels, w = cycle, self.levels, self.w
+        last = len(levels) - 1
+        if self.mode is Mode.SEARCH:
+            phase2, key = not self.phase1_only, levels[0].words
+            for d, lv in enumerate(levels):
+                tau = cycle - d
+                lv.clock = cycle if not d else max(tau, 0) if phase2 else min(max(tau, 0), w + 1)
+                lv.start = int(tau > 0 or not d)
+                lv.in_parent = (key[tau - 1] if tau else 1) if d and 0 <= tau <= w else None
+                lv.in_children = levels[d + 1].state if phase2 and d < last and tau >= w + 3 else None
+            levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
+        elif last:
+            for d, lv in enumerate(levels[:last]):
+                tau = cycle - (last - d)
+                taken = min(max(tau, 0), w + 1)  # the initiate and the child planes
+                lv.start, lv.rot, lv.clock = int(taken > 0), max(taken - 1, 0), taken if d else 0
+                lv.in_children = levels[d + 1].state if 0 <= tau <= w else None
+            leaves = levels[last]
+            leaves.clock = min(cycle, w + 1)
+            leaves.rot = max(leaves.clock - 1, 0)
 
     def configuration(self) -> Configuration:
         """A new ``Configuration`` holding the tree's current state, every
@@ -349,8 +358,7 @@ class LoadedTree:
         nodes = []
         for d, (lv, ids) in enumerate(zip(self.levels, self.layout)):
             n, k = lv.n, lv.k
-            start, clock, acted, listen, parent = \
-                lv.start, lv.clock, lv.acted, lv.listen, lv.in_parent
+            start, clock, listen, parent = lv.start, lv.clock, lv.listen, lv.in_parent
             writes = 0 if d else lv.rot
             child_count = 0 if lv.in_children is None else k
             p1 = lv.phase1_match
@@ -364,7 +372,7 @@ class LoadedTree:
                 f.state, f.start, f.match, f.link_mem = state, start, match, link_mem
                 f.perm_disabled = perm
                 f.link_child[:] = links
-                nd.local_clock, nd.acted, nd.neutral = clock, acted, neutral
+                nd.local_clock, nd.neutral = clock, neutral
                 nd.writes, nd.listen_steps = writes, listen
                 nd.phase1_match = phase1_match
                 ib = nd.inbox

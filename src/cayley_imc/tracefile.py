@@ -131,7 +131,7 @@ def _int_field(record: dict, name: str, where: str) -> int:
 
 
 def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
-    """Rebuild a segment's tree, reset for its run, from its cycle-0 events.
+    """Rebuild a segment's tree from its cycle-0 events; its run resets it.
 
     Checks the header and the leading cycle-0 events, the only ones the
     rebuild reads, and raises ValueError on the first bad field, or on an
@@ -192,5 +192,4 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
         words[i], perm[i] = word, p
     tree = LoadedTree.load(topo, mode, words[0], words[1:], 0, disable_padding=False)
     tree.disable(i for i in range(n) if perm[i])
-    tree.rearm(mode, phase1_only=phase1_only)
     return tree
