@@ -87,26 +87,33 @@ class Recorder:
         self.write(text + ("\n" + head).join(self.tails) + "\n")
 
 
-def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
-    """Split a trace stream into (header meta, events) segments.
+def split_trace(text: str | Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
+    """Split a trace into (header meta, events) segments.
 
-    Each stripped event line goes through ``parse_event``: kept as text by
-    default, so a caller can compare lines without parsing them.
+    ``text`` is the whole trace, split into lines once here, or its lines.
+    Only blank, comment and header lines are handled one by one; the event
+    lines between them are taken as slices.  Each stripped event line goes
+    through ``parse_event``: kept as text by default, so a caller can
+    compare lines without parsing them.
     """
+    lines = list(map(str.strip, text.split("\n") if isinstance(text, str) else text))
+    marks = [i for i, line in enumerate(lines) if not line or line[0] == "#"]
     segments: list[tuple[dict, list]] = []
-    lineno = 0
+    lineno = start = 0
     try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                if line.startswith(_HEADER_PREFIX):
-                    segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
-                continue
-            if not segments:
-                raise ValueError(f"trace line {lineno}: event before any segment header")
-            segments[-1][1].append(parse_event(line))
+        for mark in marks + [len(lines)]:
+            if start < mark:  # event lines start + 1 .. mark
+                if not segments:
+                    raise ValueError(f"trace line {start + 1}: event before any segment header")
+                events = segments[-1][1]
+                if parse_event is str:
+                    events += lines[start:mark]
+                else:
+                    for lineno in range(start + 1, mark + 1):
+                        events.append(parse_event(lines[lineno - 1]))
+            lineno = start = mark + 1
+            if mark < len(lines) and lines[mark].startswith(_HEADER_PREFIX):
+                segments.append((json.loads(lines[mark][len(_HEADER_PREFIX):]), []))
     except json.JSONDecodeError as exc:
         raise ValueError(f"trace line {lineno}: {exc}") from None
     except RecursionError:
@@ -115,9 +122,9 @@ def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]
     return segments
 
 
-def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
-    """Split a trace stream into (header meta, event dict) segments."""
-    return split_trace(lines, json.loads)
+def parse_trace(text: str | Iterable[str]) -> list[tuple[dict, list[dict]]]:
+    """Split a trace into (header meta, event dict) segments."""
+    return split_trace(text, json.loads)
 
 
 _FLAG_FIELDS = ("state", "start", "match", "l_m", "perm_disabled")

@@ -30,6 +30,7 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode, make_node
 from cayley_imc.oracle import oracle_search, oracle_sort_desc
+from cayley_imc.planes import _schedule
 from cayley_imc.tracefile import Recorder, trace_header
 
 from conftest import (cached_topology, full_state, object_extremum, object_search,
@@ -280,3 +281,47 @@ def test_runs_leave_no_reference_cycles(topo_2_3_4):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_schedule_length_is_the_cycle_formula():
+    """A shape's schedule has one entry per cycle of its run."""
+    for h in range(1, 13):
+        for w in range(1, 17):
+            assert len(_schedule(True, h, w, False)) == w + 2 * h
+            assert len(_schedule(True, h, w, True)) == w + h
+            tournament = _schedule(False, h, w, False)
+            # A tournament on a lone root has no leaves to start it.
+            assert tournament is None if h == 1 else len(tournament) == w + h
+
+
+def test_a_deep_cycle_has_as_few_ranges_as_a_shallow_one():
+    """The key bits, the relay and the tournament move as wavefronts, so a
+    cycle of an eta=1 tree of height 2000 needs no more depth ranges than a
+    cycle at height 16, and its ranges are in depth order.  (From height
+    w + 5 on, a search cycle can hold all six of its operations at once.)"""
+    for search, phase1_only in ((True, False), (True, True), (False, False)):
+        shallow = max(map(len, _schedule(search, 16, 8, phase1_only)))
+        deep = _schedule(search, 2000, 8, phase1_only)
+        assert max(map(len, deep)) == shallow <= 6
+        for ranges in deep:
+            bounds = [d for _, lo, hi in ranges for d in (lo, hi)]
+            assert bounds == sorted(bounds) and 0 <= min(bounds, default=0)
+            assert max(bounds, default=0) <= 2000
+
+
+def test_sort_refuses_a_round_that_retires_nothing(topo_2_3_4):
+    """The live set is the enabled nodes below the root, as planes.  A round
+    whose comparison phase leaves no match set is a protocol error naming
+    the round's value and the live node ids."""
+    comparisons = []
+
+    def clear_matches(t):
+        if t.phase1_only and t.cycle == 4 + 3:  # w + h, the comparison's last cycle
+            comparisons.append(t.cycle)
+            if len(comparisons) == 2:
+                for lv in t.levels:
+                    lv.match = 0
+
+    # The first round retires 7 at node 4; the second finds the 3s cleared.
+    with pytest.raises(ProtocolError, match=r"no node holding 3; live set \[1, 2, 3, 5\]$"):
+        sort(topo_2_3_4, [3, 1, 2, 7, 3], on_step=clear_matches)
