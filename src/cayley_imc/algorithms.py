@@ -161,10 +161,11 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     extremum, which doubles as the next search key), reset for searching,
     run the comparison phase only, then permanently disable every node whose
     match survived and append the value once per such node.  The live set is
-    the nodes below the root that are still enabled, so a level's ``match``
-    plane is what the round retires.  Rounds repeat until every occupied node
-    is retired, so the round count equals the number of distinct values.  ``on_step`` observes every cycle
-    of both runs of every round; an empty list runs nothing.
+    the enabled nodes below the root, so each level's ``match`` plane is
+    what the round retires.  Rounds repeat until every occupied node is
+    retired, so the round count equals the number of distinct values.
+    ``on_step`` observes every cycle of both runs of every round; an empty
+    list runs nothing.
     """
     if order not in ("desc", "asc"):
         raise ValueError(f"order must be 'desc' or 'asc', got {order!r}")
@@ -188,7 +189,8 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
         if not copies:
             live = sorted(i for lv, ids in zip(below, tree.layout[1:])
                           for p, i in enumerate(ids) if not lv.perm >> p & 1)
-            raise ProtocolError(f"sort round found no node holding {value}; live set {live}")
+            raise ProtocolError(
+                f"sort round found no node holding {value}; live set {live}")
         for lv in below:
             lv.perm |= lv.match
         output.extend([value] * copies)

@@ -1,24 +1,33 @@
-"""Bit-plane level engine: one whole untraced scheme run, level by level.
+"""Bit-plane level engine: every scheme run, level by level, from a per-shape
+schedule.
 
 All nodes at one depth act in lockstep.  In a run that starts from the
-reset state their control state (clock, ``start``, ``acted``, counters,
-which inbox ports are latched) is therefore the same for every node of the
-level at every cycle; only data bits differ from node to node.  Each level
-keeps its control state as scalars and every per-node bit (a flag, one word
-bit, a latched child bit) as one Python int, bit ``p`` belonging to the node
-at position ``p``.
+reset state their control state (clock, ``start``, counters, which inbox
+ports are latched) is therefore the same for every node of the level at
+every cycle; only data bits differ from node to node.  Each level keeps its
+control state as scalars and every per-node bit (a flag, one word bit, a
+latched child bit) as one Python int, bit ``p`` belonging to the node at
+position ``p``.
 
 Positions are slot-major: a node's position is its slot times the size of
 its parent's level plus its parent's position.  The children of the parent
 at position ``q`` of a level of size ``N`` then sit at ``q, q + N, q + 2N,
 ...`` of the next level, so combining child bits at their parents is one
-shift-and-OR per slot, and so is broadcasting a parent bit to its children.
-Word rotation is a change of plane index.  A cycle costs O(h * eta) big-int
-operations instead of O(n) Python calls.  The word and ``perm_disabled``
-planes last from run to run, so a loaded tree needs no node objects;
-``LoadedTree.configuration`` builds them as a copy.
+shift-and-OR per slot, and broadcasting a parent bit to its children is one
+multiplication.  Word rotation is a change of plane index.  The word and
+``perm_disabled`` planes last from run to run, so a loaded tree needs no
+node objects; ``LoadedTree.configuration`` builds them as a copy.
 
-The rules below mirror the transition functions of ``node.py`` one for one;
+The control state never depends on the data either: only on the mode, the
+height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
+shape, each cycle's data operations as a few ranges of depths, and its
+length is the cycle count.  ``LoadedTree.run`` is the one run loop, for
+observed, unobserved, budgeted and replayed runs alike: it applies those
+operations to the planes and writes the control values into the levels
+after each cycle only when an observer watches, at a budget cut, and once
+at the end.
+
+The operations mirror the transition functions of ``node.py`` one for one;
 the tests compare every ``NodeState`` field after every cycle against the
 object engine, which stays the executable specification.
 """
@@ -95,44 +104,34 @@ def _schedule(search: bool, h: int, w: int, phase1_only: bool
     cycle count.
 
     Each level's control follows its local time: the cycle minus its depth
-    in a search, minus its height above the leaves in a tournament.  A
-    level below the root takes the initiate at local time 0 and a key bit
-    or child plane at 1..w; a searching level then relays from w + 1 on,
-    with a child plane latched from w + 3 on, except at the leaves.  The
-    levels at one stage of that program are consecutive, so a cycle has a
-    few ranges at any height.
+    in a search, minus its height above the leaves in a tournament.  A level
+    below the root takes the initiate at local time 0 and a key bit or a
+    child plane at 1..w; a searching level then relays from w + 1 on, with
+    a child plane latched from w + 3 on.  A leaf's state and match stay 0
+    from w + 2 on, so its later relay cycles change nothing and are left
+    out.  The levels at one stage of that program are consecutive, so a
+    cycle has a few ranges at any height.
     """
-    last, phase2 = h - 1, search and not phase1_only
+    last, phase2, end = h - 1, search and not phase1_only, w + 2 * h
+    # Stages in depth order: (op, first and last local time, top and bottom depth).
     if search:
-        # Stages as (op, first, last local time), latest first: depth order.
-        stages = [(_RELAY, w + 3, None), (_DRAIN, w + 2, w + 2), (_FIRST, w + 1, w + 1)
-                  ] if phase2 else []
-        stages += [(_KEY, 1, w), (_INITIATE, 0, 0)]
+        relay = [(_LISTEN, w + 3, end, 0, 0), (_RELAY, w + 3, end, 1, last - 1),
+                 (_DRAIN, w + 2, w + 2, 1, last), (_FIRST, w + 1, w + 1, 1, last)]
+        stages = ([(_SEND, 0, w, 0, 0)] + relay * (phase2 and last > 0)
+                  + [(_KEY, 1, w, 1, last), (_INITIATE, 0, 0, 1, last)])
     elif last:
-        stages = [(_INITIATE, 0, 0), (_COMBINE, 1, w)]
+        stages = [(_INITIATE, 0, 0, 0, last - 1), (_COMBINE, 1, w, 0, last - 1),
+                  (_LEAF, 1, w, last, last)]
     else:
         return None
     cycles = []
-    for t in range(w + 2 * h if phase2 else w + h):
+    for t in range(end if phase2 else w + h):
         ranges = []
-        if search:
-            if t <= w:
-                ranges.append((_SEND, 0, 1))
-            elif phase2 and last and t >= w + 3:
-                ranges.append((_LISTEN, 0, 1))
-            for op, first, end in stages:
-                lo, hi = max(1, 1 if end is None else t - end), min(last, t - first) + 1
-                if lo < hi and op == _RELAY and hi > last:  # no child plane at the leaves
-                    ranges += [(_RELAY, lo, last)] * (lo < last) + [(_DRAIN, last, hi)]
-                elif lo < hi:
-                    ranges.append((op, lo, hi))
-        else:
-            for op, first, end in stages:
-                lo, hi = max(0, first + last - t), min(last - 1, end + last - t) + 1
-                if lo < hi:
-                    ranges.append((op, lo, hi))
-            if 1 <= t <= w:
-                ranges.append((_LEAF, last, h))
+        for op, first, final, top, bottom in stages:
+            lo, hi = (t - final, t - first) if search else (first + last - t, final + last - t)
+            lo, hi = max(lo, top), min(hi, bottom) + 1
+            if lo < hi:
+                ranges.append((op, lo, hi))
         cycles.append(tuple(ranges))
     return tuple(cycles)
 
@@ -144,9 +143,9 @@ class _Level:
     run.  ``rot`` counts this run's word rotations (at the root, ``writes``).
     """
 
-    __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state", "start", "match",
-                 "link_mem", "links", "phase1_match", "clock", "listen", "in_parent",
-                 "in_children")
+    __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state",
+                 "start", "match", "link_mem", "links", "phase1_match", "clock", "listen",
+                 "in_parent", "in_children")
 
     def __init__(self, values: list[int], perm: int, k: int, w: int) -> None:
         self.n, self.k, self.perm = len(values), k, perm
@@ -289,11 +288,8 @@ class LoadedTree:
                 elif op == _KEY:  # key bit j reaches depth d at cycle d + j + 1
                     for d in range(lo, hi):
                         lv, j = levels[d], t - d - 1
-                        plane = lv.words[j]
-                        if key[j]:
-                            lv.state, lv.match = lv.mask, lv.match & plane
-                        else:
-                            lv.state, lv.match = 0, lv.match & ~plane
+                        plane = lv.words[j] if key[j] else ~lv.words[j]
+                        lv.state, lv.match = lv.mask * key[j], lv.match & plane
                 elif op == _LEAF:
                     lv = levels[last]
                     msb = lv.words[t - 1]
@@ -337,7 +333,8 @@ class LoadedTree:
                 lv.clock = cycle if not d else max(tau, 0) if phase2 else min(max(tau, 0), w + 1)
                 lv.start = int(tau > 0 or not d)
                 lv.in_parent = (key[tau - 1] if tau else 1) if d and 0 <= tau <= w else None
-                lv.in_children = levels[d + 1].state if phase2 and d < last and tau >= w + 3 else None
+                relayed = phase2 and d < last and tau >= w + 3  # by the level below
+                lv.in_children = levels[d + 1].state if relayed else None
             levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
         elif last:
             for d, lv in enumerate(levels[:last]):
