@@ -256,7 +256,7 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
     """
     try:
         with open(args.trace_file, "r", encoding="utf-8") as fh:
-            segments = split_trace(fh.read())
+            segments = split_trace(fh)
         matches = bool(segments)
         for meta, lines in segments:
             n = node_count(meta["eta"], meta["height"])  # one cycle-0 line per node
@@ -268,7 +268,7 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
         matches = False
     if not matches:
         with open(args.trace_file, "r", encoding="utf-8") as fh:
-            segments = parse_trace(fh.read())
+            segments = parse_trace(fh)
         if not segments:
             raise InputError(f"{args.trace_file}: no trace segments found")
         for seg_idx, (meta, events) in enumerate(segments):

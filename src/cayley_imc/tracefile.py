@@ -87,16 +87,16 @@ class Recorder:
         self.write(text + ("\n" + head).join(self.tails) + "\n")
 
 
-def split_trace(text: str | Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
-    """Split a trace into (header meta, events) segments.
+def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
+    """Split a trace stream into (header meta, events) segments.
 
-    ``text`` is the whole trace, split into lines once here, or its lines.
-    Only blank, comment and header lines are handled one by one; the event
-    lines between them are taken as slices.  Each stripped event line goes
-    through ``parse_event``: kept as text by default, so a caller can
-    compare lines without parsing them.
+    The lines are stripped in one pass; only blank, comment and header
+    lines are then handled one by one, and the event lines between them
+    are taken as slices.  Each stripped event line goes through
+    ``parse_event``: kept as text by default, so a caller can compare lines
+    without parsing them.
     """
-    lines = list(map(str.strip, text.split("\n") if isinstance(text, str) else text))
+    lines = list(map(str.strip, lines))
     marks = [i for i, line in enumerate(lines) if not line or line[0] == "#"]
     segments: list[tuple[dict, list]] = []
     lineno = start = 0
@@ -122,9 +122,9 @@ def split_trace(text: str | Iterable[str], parse_event=str) -> list[tuple[dict, 
     return segments
 
 
-def parse_trace(text: str | Iterable[str]) -> list[tuple[dict, list[dict]]]:
-    """Split a trace into (header meta, event dict) segments."""
-    return split_trace(text, json.loads)
+def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
+    """Split a trace stream into (header meta, event dict) segments."""
+    return split_trace(lines, json.loads)
 
 
 _FLAG_FIELDS = ("state", "start", "match", "l_m", "perm_disabled")

@@ -237,6 +237,12 @@ class TestTrace:
         (("min", "--eta", "3", "--seed", "5", "--count", "40", "--word-size", "8"),
          105_163,
          "4a21a6cbbf00a3e902ebc32e4e1153780feca994e2db3aa680d7f30bfff1c863"),
+        # A sort's eight segments (both runs of every round), and a
+        # tournament whose one-bit words give each level one data cycle.
+        (("sort", "--list", "9,1,5,5,3", "--word-size", "4"), 95_103,
+         "173fb913cc56b8ee5a740e89d4fefd08319fcf9c1e73c0ac9c2bf943d19a5653"),
+        (("max", "--eta", "3", "--seed", "5", "--count", "12", "--word-size", "1"), 12_552,
+         "8e9c0ca75bdfd6d0c4bb355584c41b4fbe42f7a8c4282b07278d096b327c5f6b"),
     ])
     def test_trace_bytes_are_pinned(self, capsys, tmp_path, argv, size, digest):
         path = tmp_path / "run.trace"
@@ -244,18 +250,6 @@ class TestTrace:
         assert status == 0
         data = path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
-
-    # A sort's eight segments (both runs of every round), and a tournament
-    # whose one-bit words leave a single data cycle per level.
-    @pytest.mark.parametrize("argv,size,digest", [
-        (("sort", "--list", "9,1,5,5,3", "--word-size", "4"), 95_103,
-         "173fb913cc56b8ee5a740e89d4fefd08319fcf9c1e73c0ac9c2bf943d19a5653"),
-        (("max", "--eta", "3", "--seed", "5", "--count", "12", "--word-size", "1"), 12_552,
-         "8e9c0ca75bdfd6d0c4bb355584c41b4fbe42f7a8c4282b07278d096b327c5f6b"),
-    ])
-    def test_sort_and_narrow_trace_bytes_are_pinned(self, capsys, tmp_path, argv, size,
-                                                     digest):
-        self.test_trace_bytes_are_pinned(capsys, tmp_path, argv, size, digest)
 
     def test_sort_trace_round_trip(self, capsys, tmp_path):
         # Four distinct values: four rounds of two segments, each segment
