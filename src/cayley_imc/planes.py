@@ -27,9 +27,10 @@ operations to the planes and writes the control values into the levels
 after each cycle only when an observer watches, at a budget cut, and once
 at the end.
 
-The operations mirror the transition functions of ``node.py`` one for one;
-the tests compare every ``NodeState`` field after every cycle against the
-object engine, which stays the executable specification.
+The operations mirror the transition functions of ``node.py``, leaving out
+only relay cycles of the leaves that change nothing; the tests compare
+every ``NodeState`` field after every cycle against the object engine,
+which stays the executable specification.
 """
 
 from __future__ import annotations
