@@ -338,14 +338,12 @@ class LoadedTree:
                 lv.in_children = levels[d + 1].state if relayed else None
             levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
         elif last:
-            for d, lv in enumerate(levels[:last]):
-                tau = cycle - (last - d)
-                taken = min(max(tau, 0), w + 1)  # the initiate and the child planes
-                lv.start, lv.rot, lv.clock = int(taken > 0), max(taken - 1, 0), taken if d else 0
-                lv.in_children = levels[d + 1].state if 0 <= tau <= w else None
-            leaves = levels[last]
-            leaves.clock = min(cycle, w + 1)
-            leaves.rot = max(leaves.clock - 1, 0)
+            for d, lv in enumerate(levels):
+                tau = cycle - last + d
+                taken = min(max(tau, 0), w + 1)  # the initiate, then the bits or planes
+                lv.start, lv.rot = int(taken > 0 or d == last), max(taken - 1, 0)
+                lv.clock = taken if d else 0
+                lv.in_children = levels[d + 1].state if d < last and 0 <= tau <= w else None
 
     def configuration(self) -> Configuration:
         """A new ``Configuration`` holding the tree's current state, every
