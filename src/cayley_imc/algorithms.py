@@ -178,8 +178,8 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
     tree = _load(topo, elements, mode, None, disable_padding=True)
     output: list[int] = []
     per_round: list[int] = []
-    below = tree.levels[1:]
-    while any(lv.perm != lv.mask for lv in below):
+    below, remaining = tree.levels[1:], len(elements)
+    while remaining:
         cycles_a = _run(tree, mode, on_step)
         value = tree.root_word
 
@@ -193,6 +193,7 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
                 f"sort round found no node holding {value}; live set {live}")
         for lv in below:
             lv.perm |= lv.match
+        remaining -= copies
         output.extend([value] * copies)
         per_round.append(cycles_a + cycles_b)
     return SortResult(

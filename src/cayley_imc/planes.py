@@ -22,10 +22,10 @@ The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
 shape, each cycle's data operations as a few ranges of depths, and its
 length is the cycle count.  ``LoadedTree.run`` is the one run loop, for
-observed, unobserved, budgeted and replayed runs alike: it applies those
-operations to the planes and writes the control values into the levels
-after each cycle only when an observer watches, at a budget cut, and once
-at the end.
+observed, unobserved, budgeted and replayed runs alike: it applies only
+those operations to the planes.  The control values are derived from
+(mode, ``phase1_only``, cycle) when something reads them: before each call
+of an observer, at a budget cut, and in ``configuration``.
 
 The operations mirror the transition functions of ``node.py``, leaving out
 only relay cycles of the leaves that change nothing; the tests compare
@@ -141,7 +141,8 @@ class _Level:
     """One depth of the tree: per-node bit planes plus scalar control state.
 
     ``words`` and ``perm`` (the ``perm_disabled`` flags) last from run to
-    run.  ``rot`` counts this run's word rotations (at the root, ``writes``).
+    run.  ``rot`` counts this run's word rotations (at the root, ``writes``)
+    as last derived; only a run cut short stops short of a whole turn.
     """
 
     __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state",
@@ -161,7 +162,7 @@ class _Level:
         # the low end of every int.
         text = "".join(map(bin, map(or_, reversed(values), repeat(1 << w))))
         self.words = [int(text[3 + j::w + 3], 2) for j in range(w)]
-        self.rot = 0
+        self.rot = self.listen = 0  # only the root's listen count moves
 
     def aligned(self, w: int) -> list[int]:
         """The word planes rotated so plane j holds bit j of the words as
@@ -201,24 +202,22 @@ class LoadedTree:
         return tree
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
-        """Apply ``reset_flags`` for ``mode`` to every level; the words keep
-        their value, and ``link_mem`` comes up from ``perm``."""
+        """Apply ``reset_flags`` for ``mode`` to the planes a run or ``bit``
+        reads; the words keep their value, and ``link_mem`` comes up from
+        ``perm``.  The control values are derived when read."""
         if mode is Mode.IDLE:
             raise ValueError("cannot reset a node into idle mode")
-        self.mode, self.phase1_only, self.cycle = mode, phase1_only, 0
-        last = len(self.levels) - 1
-        for d, lv in enumerate(self.levels):
-            lv.words = lv.aligned(self.w)
-            lv.link_mem = lv.perm
-            lv.links = lv.rot = lv.clock = lv.listen = 0
-            lv.phase1_match = lv.in_parent = lv.in_children = None
-            if mode is Mode.SEARCH:
-                lv.state = lv.start = 0 if d else 1
-                lv.match = lv.mask & ~lv.link_mem if d else 1
-            else:
-                lv.start = 1 if d == last and d else 0
-                lv.state = lv.mask * lv.start
-                lv.match = lv.mask
+        self.mode, self.phase1_only, self.cycle, self._derived = mode, phase1_only, 0, False
+        levels, w, search = self.levels, self.w, mode is Mode.SEARCH
+        for lv in levels:
+            if lv.rot % w:  # only a cut-off tournament leaves words part rotated
+                lv.words = lv.aligned(w)
+            lv.link_mem, lv.links, lv.rot, lv.phase1_match, lv.state = lv.perm, 0, 0, None, 0
+            lv.match = lv.mask & ~lv.perm if search else lv.mask
+        if search:  # the root sends, and its match stays armed
+            levels[0].state = levels[0].match = 1
+        elif len(levels) > 1:  # the leaves start a tournament
+            levels[-1].state = levels[-1].mask
 
     def check_mode(self, mode: Mode) -> None:
         """Refuse a run in a mode other than the one last loaded or reset."""
@@ -227,7 +226,10 @@ class LoadedTree:
 
     @property
     def root_word(self) -> int:
-        return _unpack(self.levels[0].aligned(self.w), 1)[0]
+        word = 0
+        for bit in self.levels[0].aligned(self.w):  # w one-bit planes, MSB first
+            word = word << 1 | bit
+        return word
 
     @root_word.setter
     def root_word(self, word: int) -> None:
@@ -250,12 +252,13 @@ class LoadedTree:
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
         """``rearm``, then run the shape's schedule to quiescence; return the
         cycles.  ``on_step(tree)`` follows the ``rearm`` and every cycle, with
-        the control values written for it to read."""
+        the control values derived for it to read."""
         self.rearm(mode, phase1_only=phase1_only)
         levels, w = self.levels, self.w
         last, root = len(levels) - 1, levels[0]
         cycles = _schedule(mode is Mode.SEARCH, len(levels), w, phase1_only)
         if on_step is not None:
+            self._set_control(0)
             on_step(self)
         key, inv = root.words, mode is Mode.MIN  # searching never rotates
         steps = repeat((), max_cycles) if cycles is None else islice(cycles, max_cycles)
@@ -314,41 +317,41 @@ class LoadedTree:
         if cycles is None or len(cycles) > max_cycles:
             self._set_control(max_cycles)
             raise _budget_exhausted(mode, self.topo.params, max_cycles)
-        if on_step is None:
-            self._set_control(len(cycles))
+        self.cycle = len(cycles)
         if mode is Mode.SEARCH and not phase1_only and any(
                 lv.state or lv.match for lv in levels[1:]):
             _validate_quiescent(self.configuration())  # names the node
         return self.cycle
 
     def _set_control(self, cycle: int) -> None:
-        """Write every level's control values after ``cycle`` cycles of the
-        run, from its local time (see ``_schedule``); a latched bit or plane
+        """Derive every level's control values after ``cycle`` cycles of the
+        run from its local time (see ``_schedule``); a latched bit or plane
         is read off its sender."""
-        self.cycle, levels, w = cycle, self.levels, self.w
-        last = len(levels) - 1
-        if self.mode is Mode.SEARCH:
-            phase2, key = not self.phase1_only, levels[0].words
-            for d, lv in enumerate(levels):
+        self.cycle, self._derived, levels, w = cycle, True, self.levels, self.w
+        last, search = len(levels) - 1, self.mode is Mode.SEARCH
+        phase2, key = search and not self.phase1_only, levels[0].words
+        for d, lv in enumerate(levels):
+            if search:
                 tau = cycle - d
                 lv.clock = cycle if not d else max(tau, 0) if phase2 else min(max(tau, 0), w + 1)
                 lv.start = int(tau > 0 or not d)
                 lv.in_parent = (key[tau - 1] if tau else 1) if d and 0 <= tau <= w else None
-                relayed = phase2 and d < last and tau >= w + 3  # by the level below
-                lv.in_children = levels[d + 1].state if relayed else None
-            levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
-        elif last:
-            for d, lv in enumerate(levels):
-                tau = cycle - last + d
+                latched = phase2 and d < last and tau >= w + 3  # the level below relays
+            else:
+                tau = cycle - last + d if last else -1  # a lone root never starts
                 taken = min(max(tau, 0), w + 1)  # the initiate, then the bits or planes
-                lv.start, lv.rot = int(taken > 0 or d == last), max(taken - 1, 0)
-                lv.clock = taken if d else 0
-                lv.in_children = levels[d + 1].state if d < last and 0 <= tau <= w else None
+                lv.start, lv.rot = int(taken > 0 or d == last > 0), max(taken - 1, 0)
+                lv.clock, lv.in_parent = taken if d else 0, None
+                latched = d < last and 0 <= tau <= w
+            lv.in_children = levels[d + 1].state if latched else None
+        levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
 
     def configuration(self) -> Configuration:
         """A new ``Configuration`` holding the tree's current state, every
         ``NodeState`` field as the object engine would hold it.  Runs never
         change the copy, and writes to it never reach the tree."""
+        if not self._derived:
+            self._set_control(self.cycle)
         topo, w = self.topo, self.w
         neutral = 1 if self.mode is Mode.MIN else 0
         nodes = []

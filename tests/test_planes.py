@@ -30,7 +30,7 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode, make_node
 from cayley_imc.oracle import oracle_search, oracle_sort_desc
-from cayley_imc.planes import _schedule
+from cayley_imc.planes import LoadedTree, _schedule
 from cayley_imc.tracefile import Recorder, trace_header
 
 from conftest import (cached_topology, full_state, object_extremum, object_search,
@@ -164,6 +164,22 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
                 assert full_state(pl.configuration()) == full_state(obj)
 
 
+@pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX, Mode.MIN])
+def test_a_lone_root_matches_the_object_engine(mode):
+    """A height-1 tree (only a replayed trace builds one) is its root.  A
+    search takes w + 2 cycles; a tournament has no leaves to start it, so
+    the budget cuts it.  Every cycle still matches the object engine."""
+    topo = cached_topology(2, 1, 4)
+    tree = LoadedTree.load(topo, mode, 5, [], 0, disable_padding=False)
+    obj = Configuration(topo=topo, nodes=[make_node(topo, 0, 5)])
+    if mode is Mode.SEARCH:
+        assert _lockstep(obj, tree, mode) == 4 + 2
+    else:
+        with pytest.raises(QuiescenceError):
+            _lockstep(obj, tree, mode)
+        assert tree.cycle == default_cycle_budget(topo)
+
+
 def _loaded_by_nodes(topo, els, mode, key=None):
     """The state a load held when it built node objects: padding words,
     perm_disabled on search padding, then the reset for ``mode``."""
@@ -211,6 +227,80 @@ def test_budget_exhaustion_in_plane_form(topo_2_3_4, monkeypatch, mode):
     # The next run starts from the words the cut-off run left part rotated.
     assert run(rerun) == run_twin()
     assert full_state(rerun.configuration()) == full_state(twin)
+
+
+def _unobserved_and_observed(pair, mode, budget, phase1_only=False):
+    """The full state of a copy of ``pair[0]`` after an unobserved run, and
+    of the copy an observer takes of ``pair[1]`` on the last cycle of the
+    same run."""
+    h, w = len(pair[0].levels), pair[0].w
+    last = min(budget, len(_schedule(mode is Mode.SEARCH, h, w, phase1_only)))
+    seen = []
+
+    def observe(t):
+        if t.cycle == last:
+            seen.append(full_state(t.configuration()))
+
+    for tree, on_step in ((pair[0], None), (pair[1], observe)):
+        try:
+            tree.run(mode, budget, phase1_only=phase1_only, on_step=on_step)
+        except QuiescenceError:
+            pass
+    return full_state(pair[0].configuration()), seen.pop()
+
+
+@pytest.mark.parametrize("eta,h,w", SHAPES)
+def test_derived_control_equals_the_observed_control(eta, h, w):
+    """An unobserved run leaves its control values to be derived when they
+    are read.  Whether the run finishes or a budget cuts it short, a copy
+    taken after it must equal the copy an observer takes on its last cycle,
+    and chained runs must start from the same state."""
+    topo = cached_topology(eta, h, w)
+    full = default_cycle_budget(topo)
+    for seed in SEEDS:
+        rng = random.Random(f"{seed}:{eta}:{h}:{w}:derived")
+        els = random_elements(rng, topo.n - 1, w, max_len=16)
+        cut = rng.randrange(w + h)  # short of every run, rotation included
+        key = rng.randrange(1 << w)
+        pair = [load_list(topo, els, Mode.SEARCH, key=key) for _ in range(2)]
+        for budget, phase1_only in ((full, False), (full, True), (cut, False), (cut, True),
+                                    (full, False)):
+            quiet, watched = _unobserved_and_observed(pair, Mode.SEARCH, budget, phase1_only)
+            assert quiet == watched, (budget, phase1_only)
+        for mode in (Mode.MAX, Mode.MIN):
+            pair = [load_list(topo, els, mode) for _ in range(2)]
+            ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
+            for tree in pair:
+                tree.disable(ids)
+            for budget in (full, cut, full):
+                quiet, watched = _unobserved_and_observed(pair, mode, budget)
+                assert quiet == watched, (mode, budget)
+
+
+@pytest.mark.parametrize("eta,h,w", [(2, 3, 4), (1, 5, 8), (3, 2, 2)])
+def test_root_word_reads_the_rotated_planes(eta, h, w):
+    """``root_word`` folds the root's one-bit word planes at the root's
+    rotation: after every cycle of an observed tournament, after a
+    finished unobserved one, and after one cut off part way through its
+    writes."""
+    topo = cached_topology(eta, h, w)
+    els = random_elements(random.Random(f"{eta}:{h}:{w}:root"), topo.n - 1, w, max_len=16)
+    for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
+        seen = []
+
+        def check(t):
+            assert t.root_word == t.configuration().root.word, (mode, t.cycle)
+            seen.append(t.cycle)
+
+        tree = load_list(topo, els, mode)
+        run(tree, on_step=check)
+        assert seen == list(range(w + h + 1))
+        run(tree)
+        assert tree.root_word == tree.configuration().root.word, mode
+        for budget in range(w + h):
+            with pytest.raises(QuiescenceError):
+                tree.run(mode, budget)
+            assert tree.root_word == tree.configuration().root.word, (mode, budget)
 
 
 def test_configuration_is_a_copy(topo_2_3_4):
