@@ -387,6 +387,34 @@ class TestTrace:
         path.write_text("\n".join(lines) + "\n")
         self._rejected(capsys, path, "node 1: not the search reset state of a leaf")
 
+    @staticmethod
+    def _lone_root(path, mode, word, awake):
+        """A height-1 segment: its header and the lone root's reset state."""
+        path.write_text(
+            f'# cayley-imc-trace {{"eta":2,"height":1,"word_size":4,"mode":"{mode}"}}\n'
+            f'{{"cycle":0,"node":0,"depth":0,"role":"root","word":{word},"state":{awake},'
+            f'"start":{awake},"match":1,"l_m":0,"l_children":[],"perm_disabled":0,'
+            f'"emitted":{{}}}}\n')
+
+    @pytest.mark.parametrize("mode,word", [("max", 0), ("min", 15)])
+    def test_lone_root_tournament_trace_refused(self, capsys, tmp_path, mode, word):
+        # A lone root has no leaves to start a tournament, so the replayed
+        # run never quiesces.
+        path = tmp_path / "root.trace"
+        self._lone_root(path, mode, word, 0)
+        self._rejected(
+            capsys, path,
+            f"protocol error: {mode} run not quiescent after 32 cycles (eta=2, h=1, w=4)")
+
+    def test_lone_root_search_trace_diverges(self, capsys, tmp_path):
+        # A lone root searches in w + 2 cycles; the file records only cycle 0.
+        path = tmp_path / "root.trace"
+        self._lone_root(path, "search", 3, 1)
+        status, out, _ = run_cli(capsys, "trace", str(path))
+        assert status == 2
+        assert out.splitlines() == ["trace: segment 0 diverges from replay",
+                                    "  recorded 1 events, replay produced 7"]
+
 
 # Each value is just past its cap, or below 0 for --count, where the check
 # fires before anything is drawn or built.
