@@ -14,12 +14,13 @@ disable their memories, repeat.  Each round retires one distinct value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 # Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
 from .engine import ProtocolError, default_cycle_budget, run_until_quiescent  # noqa: F401
 from .node import Mode
-from .planes import LoadedTree
+from .planes import LoadedTree, _bits
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -72,9 +73,7 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
     nodes are permanently disabled with match pre-forced to 0, so a key
     that happens to equal the padding word can never produce a false hit.
     """
-    tree = _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
-    tree.rearm(mode)
-    return tree
+    return _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
 
 
 def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
@@ -89,19 +88,16 @@ def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
         raise ValueError(
             f"{len(elements)} elements exceed the {topo.n - 1} non-root slots"
         )
-    for x in elements:
-        if not 0 <= x < limit:
-            raise ValueError(f"element {x} out of range [0, 2^{w})")
-
+    pad_word = limit - 1 if mode is Mode.MIN else 0
+    tree = LoadedTree.load(topo, mode, pad_word, elements, pad_word,
+                           disable_padding=disable_padding)  # checks the elements
     if mode is Mode.SEARCH:
         if key is None:
             raise ValueError("search mode requires a key")
         if not 0 <= key < limit:
             raise ValueError(f"key {key} out of range [0, 2^{w})")
-    pad_word = limit - 1 if mode is Mode.MIN else 0
-    root_word = key if mode is Mode.SEARCH else pad_word
-    return LoadedTree.load(topo, mode, root_word, elements, pad_word,
-                           disable_padding=disable_padding)
+        tree.root_word = key
+    return tree
 
 
 def _run(tree: LoadedTree, mode: Mode, on_step: StepObserver | None = None, *,
@@ -129,8 +125,11 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
     tree.root_word = key
     cycles = _run(tree, Mode.SEARCH, on_step)
     matched: frozenset[int] = frozenset()
-    if collect_matches:
-        matched = frozenset(i for i in tree.occupied if tree.bit("phase1_match", i))
+    if collect_matches:  # each level's phase-1 matches, through its ids in position order
+        hits = chain.from_iterable(
+            compress(ids, _bits(lv.phase1_match, lv.n))
+            for lv, ids in zip(tree.levels, tree.layout) if lv.phase1_match)
+        matched = frozenset(filter(tree.occupied.__contains__, hits))
     return SearchResult(found=tree.bit("state", 0), cycles=cycles,
                         matched_nodes=matched)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 from . import algorithms, engine, oracle
 from .node import Mode
 from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
-                       node_count, required_height)
+                       level_sizes, node_count, required_height)
 from .tracefile import Recorder, parse_trace, split_trace, tree_from_events
 
 __all__ = ["main", "parse_input"]
@@ -214,10 +214,8 @@ def _run_info(args: argparse.Namespace) -> int:
     params = TreeParams(args.eta, height, args.word_size)
     n = node_count(params.eta, params.height)
     check_nodes(n, f"--eta {params.eta} --height {params.height}")
-    # Level sizes 1, eta+1, (eta+1)*eta, ...; the leaves are the last level
-    # of any tree with more than the root.
-    per_level = [1] + [(params.eta + 1) * params.eta ** (d - 1)
-                       for d in range(1, params.height)]
+    # The leaves are the last level of any tree with more than the root.
+    per_level = level_sizes(params.eta, params.height)
     pairs: list[tuple[str, object]] = [
         ("command", "info"),
         ("eta", params.eta),

@@ -26,7 +26,7 @@ from .node import (
     send_max,
     send_search,
 )
-from .topology import CayleyTopology, Role, TreeParams
+from .topology import CayleyTopology, TreeParams
 
 __all__ = [
     "Configuration",
@@ -245,14 +245,11 @@ def snapshot(cfg: Configuration,
              emissions: list[dict[str, int]] | None = None) -> list[TraceEvent]:
     """One TraceEvent per node for the current cycle, values copied."""
     cycle = cfg.global_cycle
-    # A node's role follows from its depth: root, intermediate levels, leaves.
-    roles = ((Role.ROOT.value,) + (Role.INTERMEDIATE.value,) * (cfg.topo.params.height - 2)
-             + (Role.LEAF.value,))
     events = []
     for n in cfg.nodes:
         f = n.flags
         events.append(TraceEvent(
-            cycle, n.id, n.depth, roles[n.depth], n.word, f.state, f.start, f.match,
+            cycle, n.id, n.depth, n.role.value, n.word, f.state, f.start, f.match,
             f.link_mem, f.link_child[:], f.perm_disabled,
             dict(emissions[n.id]) if emissions is not None else {}))
     return events

@@ -16,7 +16,10 @@ at position ``q`` of a level of size ``N`` then sit at ``q, q + N, q + 2N,
 shift-and-OR per slot, and broadcasting a parent bit to its children is one
 multiplication.  Word rotation is a change of plane index.  The word and
 ``perm_disabled`` planes last from run to run, so a loaded tree needs no
-node objects; ``LoadedTree.configuration`` builds them as a copy.
+node objects; ``LoadedTree.configuration`` builds them as a copy.  Nor
+does it keep a per-node table: positions are arithmetic on the ids (see
+``CayleyTopology.locate``), and ``load`` packs each level from its slice
+of the list with a few C-level passes (``_gather`` and ``_pack``).
 
 The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import attrgetter, or_
+from operator import and_, attrgetter, itemgetter, rshift
 from typing import Callable, Iterable, Sequence
 
 from .engine import Configuration, _budget_exhausted, _validate_quiescent
@@ -47,24 +50,37 @@ from .topology import CayleyTopology
 __all__ = ["LoadedTree"]
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-_TRUTH = b"0" + b"1" * 255  # flag byte to the digit of its truth value
+# Per bit, the translation of a byte to the digit of that bit.
+_DIGITS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit) for bit in range(8)]
 
 
-@lru_cache(maxsize=32)
-def _layout(eta: int, height: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    """Node ids of every level, in slot-major position order, and the
-    depth and position of every node id.
+def _pack(values: list[int], w: int) -> list[int]:
+    """The word planes of ``values``, MSB first, position 0 at the low end:
+    per byte of the words, one ``translate`` to digits and one
+    ``int(..., 2)`` per bit.  A value outside [0, 2^w) raises ValueError:
+    ``bytes`` refuses its top byte, or that byte is too wide."""
+    planes, top = [], (w - 1) // 8
+    for lane in range(top, -1, -1):
+        shifted = map(rshift, values, repeat(8 * lane)) if lane else values
+        raw = bytes(shifted if lane == top else map(and_, shifted, repeat(255)))[::-1]
+        width = w - 8 * top if lane == top else 8
+        if width < 8 and raw.translate(None, bytes(range(1 << width))):
+            raise ValueError("a word is out of range")
+        planes += [int(raw.translate(_DIGITS[bit]), 2) for bit in range(width - 1, -1, -1)]
+    return planes
 
-    Breadth-first ids give the node at position 0 of a level the level's
-    lowest id, and the children of its j-th node the j-th run of ``k``
-    consecutive ids of the next level.
-    """
-    levels = [(0,)]
-    for d in range(1, height):
-        parents, k = levels[-1], (eta + 1 if d == 1 else eta)
-        low, first = parents[0], parents[0] + len(parents)
-        levels.append(tuple(first + (p - low) * k + s for s in range(k) for p in parents))
-    return tuple(levels), {i: (d, p) for d, ids in enumerate(levels) for p, i in enumerate(ids)}
+
+def _gather(level: Sequence, parents: list[int], k: int) -> list:
+    """A level's values, given in breadth-first order, in position order:
+    slot ``s`` of the parent at breadth-first index ``q`` is
+    ``level[q * k + s]``, so each slot is one strided slice taken through
+    ``parents``, the parent level's indices in position order."""
+    if len(parents) == 1:  # the root or its children: positions are breadth-first
+        return list(level)
+    get, values = itemgetter(*parents), []
+    for s in range(k):
+        values += get(level[s::k])
+    return values
 
 
 def _unpack(planes: list[int], n: int) -> list[int]:
@@ -149,19 +165,14 @@ class _Level:
                  "start", "match", "link_mem", "links", "phase1_match", "clock", "listen",
                  "in_parent", "in_children")
 
-    def __init__(self, values: list[int], perm: int, k: int, w: int) -> None:
-        self.n, self.k, self.perm = len(values), k, perm
-        self.mask = (1 << self.n) - 1
+    def __init__(self, words: list[int], perm: int, n: int, k: int) -> None:
+        self.n, self.k, self.words, self.perm = n, k, words, perm
+        self.mask = (1 << n) - 1
         # Child slot s of a position sits s * n bits above it.  Copies of an
         # n-bit plane at those offsets never overlap, so one product by
         # ``spread`` broadcasts a plane to all k slots.
-        self.shifts = range(self.n, k * self.n, self.n)
-        self.spread = sum(1 << s for s in range(0, k * self.n, self.n))
-        # Plane j holds word bit j (MSB first).  bin(v | 1 << w) spells every
-        # word as "0b1" plus exactly w digits; reversing puts position 0 at
-        # the low end of every int.
-        text = "".join(map(bin, map(or_, reversed(values), repeat(1 << w))))
-        self.words = [int(text[3 + j::w + 3], 2) for j in range(w)]
+        self.shifts = range(n, k * n, n)
+        self.spread = sum(1 << s for s in range(0, k * n, n))
         self.rot = self.listen = 0  # only the root's listen count moves
 
     def aligned(self, w: int) -> list[int]:
@@ -175,31 +186,45 @@ class LoadedTree:
     """One input list in a tree, ready to run: its words and flags as bit
     planes, and the scheme runs on them.
 
-    ``load`` is the only constructor; ``layout`` lists each level's ids by
-    position.  ``configuration`` copies the state into node objects.
+    ``load`` is the only constructor.  ``configuration`` copies the state
+    into node objects.
     """
 
     @classmethod
     def load(cls, topo: CayleyTopology, mode: Mode, root_word: int,
              elements: Sequence[int], pad_word: int, *, disable_padding: bool) -> LoadedTree:
         """Node 0 holds ``root_word``, nodes 1..len(elements) the elements,
-        the rest ``pad_word``, permanently disabled if ``disable_padding``."""
+        the rest ``pad_word``, permanently disabled if ``disable_padding``;
+        the tree is left in the reset state of ``mode``.  Each level is
+        gathered from its breadth-first slice of the words; an element
+        outside [0, 2^w) is named by the first one in list order."""
         tree = cls()
-        p = topo.params
-        tree.topo, tree.w = topo, p.word_size
-        tree.layout, tree._where = _layout(p.eta, p.height)
-        tree.occupied = frozenset(range(1, len(elements) + 1))
-        pad = topo.n - 1 - len(elements)
-        words = [root_word, *elements, *repeat(pad_word, pad)]
-        perm = bytes(1 + len(elements)) + bytes([disable_padding]) * pad
-        last = len(tree.layout) - 1
-        tree.levels = [
-            _Level(list(map(words.__getitem__, ids)),
-                   int(bytes(map(perm.__getitem__, reversed(ids))).translate(_TRUTH), 2),
-                   0 if d == last else (p.eta + 1 if d == 0 else p.eta), tree.w)
-            for d, ids in enumerate(tree.layout)]
-        tree.mode = mode  # the next run, or rearm, resets the flags
+        p, offs = topo.params, topo.offsets
+        tree.topo, tree.w, w = topo, p.word_size, p.word_size
+        tree.occupied, tree.levels = range(1, len(elements) + 1), []
+        words = [root_word, *elements, *repeat(pad_word, topo.n - 1 - len(elements))]
+        orders, parents, k = topo.level_orders(), [0], 1  # the root: slot 0 of one parent
+        for d in range(p.height):
+            lo, n = offs[d], offs[d + 1] - offs[d]
+            live, perm = min(max(len(elements) + 1 - lo, 0), n), 0  # a breadth-first prefix
+            if disable_padding and live < n:
+                flags = bytes(live) + b"\1" * (n - live)
+                perm = _pack(_gather(flags, parents, k), 1)[0] if live else (1 << n) - 1
+            try:
+                planes = _pack(_gather(words[lo:lo + n], parents, k), w)
+            except ValueError:
+                bad = next(x for x in (*elements, root_word, pad_word) if not 0 <= x < 1 << w)
+                raise ValueError(f"element {bad} out of range [0, 2^{w})") from None
+            k = topo.fanout(d)
+            tree.levels.append(_Level(planes, perm, n, k))
+            parents = next(orders) if k else None
+        tree.rearm(mode)
         return tree
+
+    @property
+    def layout(self) -> list[list[int]]:
+        """Each level's node ids in position order, computed on every read."""
+        return self.topo.layout()
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
         """Apply ``reset_flags`` for ``mode`` to the planes a run or ``bit``
@@ -238,14 +263,14 @@ class LoadedTree:
 
     def bit(self, name: str, node: int) -> int:
         """Node ``node``'s ``state``, ``match`` or ``phase1_match`` bit (0 if unset)."""
-        d, p = self._where[node]
+        d, p = self.topo.locate(node)
         plane = getattr(self.levels[d], name)
         return 0 if plane is None else (plane >> p) & 1
 
     def disable(self, nodes: Iterable[int]) -> None:
         """Set ``perm_disabled`` on ``nodes``; the next ``rearm`` applies it."""
         for i in nodes:
-            d, p = self._where[i]
+            d, p = self.topo.locate(i)
             self.levels[d].perm |= 1 << p
 
     def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
@@ -355,7 +380,7 @@ class LoadedTree:
         topo, w = self.topo, self.w
         neutral = 1 if self.mode is Mode.MIN else 0
         nodes = []
-        for d, (lv, ids) in enumerate(zip(self.levels, self.layout)):
+        for d, (lv, ids) in enumerate(zip(self.levels, topo.layout())):
             n, k = lv.n, lv.k
             start, clock, listen, parent = lv.start, lv.clock, lv.listen, lv.in_parent
             writes = 0 if d else lv.rot

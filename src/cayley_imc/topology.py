@@ -1,4 +1,4 @@
-"""Finite Cayley tree construction and counting.
+"""Finite Cayley tree arithmetic: node counts, level offsets, positions.
 
 A finite Cayley tree of order ``eta`` has a root with ``eta + 1`` children,
 every other internal node with exactly ``eta`` children, and all leaves at
@@ -11,14 +11,20 @@ makes every construction deterministic and traces reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate, pairwise, repeat
+from operator import mul
+from typing import Iterator
 
 __all__ = [
     "Role",
     "TreeParams",
     "CayleyTopology",
     "node_count",
+    "level_sizes",
     "required_height",
     "build_topology",
     "check_nodes",
@@ -30,10 +36,11 @@ __all__ = [
 # integer; Python ints are unbounded but the platform being modelled is not.
 _MAX_COUNT = 2**63 - 1
 
-# Caps on what one simulation may allocate.  A built tree with a loaded
-# list takes about 650 bytes per node (CPython 3.11, tracemalloc), so
-# MAX_NODES bounds it near 2.7 GB; a word wider than a machine word has no
-# hardware to model.
+# Caps on what one simulation may allocate.  Loading a list takes about 35
+# bytes per node at its peak and w/8 once loaded, besides the list itself;
+# a traced run holds about 760 bytes per node of trace text (CPython 3.11,
+# tracemalloc).  MAX_NODES bounds those near 150 MB and 3.2 GB; a word
+# wider than a machine word has no hardware to model.
 MAX_NODES = 1 << 22
 MAX_WORD_SIZE = 64
 
@@ -87,6 +94,11 @@ def node_count(eta: int, height: int) -> int:
     return total
 
 
+def level_sizes(eta: int, height: int) -> list[int]:
+    """Nodes at each depth: 1, eta + 1, (eta + 1) * eta, ..."""
+    return [1, *accumulate(repeat(eta, height - 2), mul, initial=eta + 1)][:height]
+
+
 def check_nodes(n: int, what: str) -> None:
     """Refuse ``what``, which needs ``n`` nodes, past the MAX_NODES cap."""
     if n > MAX_NODES:
@@ -112,64 +124,91 @@ def required_height(eta: int, list_len: int) -> int:
 
 @dataclass(frozen=True)
 class CayleyTopology:
-    """Immutable adjacency structure of one finite Cayley tree.
-
-    All per-node maps are tuples indexed by node id.  ``parent_of`` is -1
-    for the root.  ``parent_slot`` gives a node's position inside its
-    parent's children list (the inbox slot its upward sends land in).
-    Instances are safe to share across concurrent simulator runs.
+    """One finite Cayley tree, as arithmetic on its breadth-first node ids:
+    depth ``d`` holds ids ``offsets[d]`` up to ``offsets[d + 1]``, and
+    ``offsets[h]`` is ``n``.  Instances are safe to share across concurrent
+    simulator runs.
     """
 
     params: TreeParams
     n: int
-    parent_of: tuple[int, ...]
-    children_of: tuple[tuple[int, ...], ...]
-    role_of: tuple[Role, ...]
-    depth_of: tuple[int, ...]
-    parent_slot: tuple[int, ...]
-    leaves: tuple[int, ...]
+    offsets: tuple[int, ...]
+
+    def fanout(self, depth: int) -> int:
+        """Children of a node at ``depth``."""
+        eta, h = self.params.eta, self.params.height
+        return 0 if depth == h - 1 else eta + 1 if depth == 0 else eta
+
+    def role(self, depth: int) -> Role:
+        return (Role.ROOT if depth == 0 else
+                Role.LEAF if depth == self.params.height - 1 else Role.INTERMEDIATE)
+
+    def depth(self, node: int) -> int:
+        return bisect_right(self.offsets, node) - 1
+
+    def locate(self, node: int) -> tuple[int, int]:
+        """Depth and slot-major position of ``node``: its index within its
+        level with the mixed-radix digits (eta + 1 at the top) reversed."""
+        offs, d = self.offsets, self.depth(node)
+        index, position = node - offs[d], 0
+        for e in range(d, 0, -1):
+            index, slot = divmod(index, self.fanout(e - 1))
+            position += slot * (offs[e] - offs[e - 1])
+        return d, position
+
+    def level_orders(self) -> Iterator[list[int]]:
+        """Per depth, the index within its level of the node at each
+        position: slot ``s`` below the parent at position ``q`` of an
+        ``N``-node level is position ``s * N + q``."""
+        index = [0]
+        for k in map(self.fanout, range(self.params.height - 1)):
+            yield index
+            index = [q * k + s for s in range(k) for q in index]
+        yield index
+
+    def layout(self) -> list[list[int]]:
+        """Each level's node ids in position order."""
+        return [list(map(first.__add__, index))
+                for first, index in zip(self.offsets, self.level_orders())]
+
+    # Per-node tables by node id, built on first access: only the object
+    # engine and the tests read them.
+    @cached_property
+    def children_of(self) -> tuple[tuple[int, ...], ...]:
+        offs = self.offsets
+        return tuple(tuple(range(offs[d + 1] + b * k, offs[d + 1] + b * k + k))
+                     for d, k in enumerate(map(self.fanout, range(self.params.height)))
+                     for b in range(offs[d + 1] - offs[d]))
+
+    @cached_property
+    def parent_of(self) -> tuple[int, ...]:
+        """-1 for the root.  Children are numbered breadth-first, so in the
+        order of their parents."""
+        return (-1,) + tuple(i for i, kids in enumerate(self.children_of) for _ in kids)
+
+    @cached_property
+    def parent_slot(self) -> tuple[int, ...]:
+        """The inbox slot at its parent that a node's upward sends land in."""
+        return (0,) + tuple(s for kids in self.children_of for s in range(len(kids)))
+
+    @cached_property
+    def depth_of(self) -> tuple[int, ...]:
+        return tuple(d for d, (a, b) in enumerate(pairwise(self.offsets)) for _ in range(a, b))
+
+    @cached_property
+    def role_of(self) -> tuple[Role, ...]:
+        return tuple(map(self.role, self.depth_of))
+
+    @cached_property
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(range(self.offsets[-2], self.n)) if self.params.height > 1 else ()
 
 
 def build_topology(params: TreeParams) -> CayleyTopology:
-    """Construct the tree for ``params`` with breadth-first node ids."""
+    """The tree for ``params``: its node count and level offsets."""
     eta, h = params.eta, params.height
     n = node_count(eta, h)
     check_nodes(n, f"a tree with eta={eta}, height={h}")
-
-    parent = [-1] * n
-    children: list[tuple[int, ...]] = [()] * n
-    role = [Role.LEAF] * n
-    depth = [0] * n
-    slot = [0] * n
-
-    role[0] = Role.ROOT
-    next_id = 1
-    frontier = [0]
-    for level in range(1, h):
-        new_frontier: list[int] = []
-        for node in frontier:
-            fanout = eta + 1 if node == 0 else eta
-            kids = tuple(range(next_id, next_id + fanout))
-            next_id += fanout
-            children[node] = kids
-            if node != 0:
-                role[node] = Role.INTERMEDIATE
-            for i, kid in enumerate(kids):
-                parent[kid] = node
-                depth[kid] = level
-                slot[kid] = i
-            new_frontier.extend(kids)
-        frontier = new_frontier
-    assert next_id == n, "level expansion disagrees with node_count"
-
-    leaves = tuple(i for i in range(n) if role[i] is Role.LEAF)
-    return CayleyTopology(
-        params=params,
-        n=n,
-        parent_of=tuple(parent),
-        children_of=tuple(children),
-        role_of=tuple(role),
-        depth_of=tuple(depth),
-        parent_slot=tuple(slot),
-        leaves=leaves,
-    )
+    offsets = tuple(accumulate(level_sizes(eta, h), initial=0))
+    assert offsets[-1] == n, "level expansion disagrees with node_count"
+    return CayleyTopology(params=params, n=n, offsets=offsets)

@@ -48,14 +48,14 @@ class Recorder:
         levels, w, search = tree.levels, tree.w, tree.mode is Mode.SEARCH
         head = text = f'{{"cycle":{tree.cycle}'
         if not tree.cycle:
-            roles = tree.topo.role_of
-            self.idents = [[f',"node":{i},"depth":{d},"role":"{roles[i].value}","word":'
-                            for i in ids] for d, ids in enumerate(tree.layout)]
-            self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in tree.layout]
+            layout, role = tree.layout, tree.topo.role
+            self.idents = [[f',"node":{i},"depth":{d},"role":"{role(d).value}","word":'
+                            for i in ids] for d, ids in enumerate(layout)]
+            self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in layout]
             self.clocks, self.keys = [0] * len(levels), [None] * len(levels)
             self.tails, self.words = [""] * tree.topo.n, [(None, None)] * len(levels)
             text = trace_header(tree) + "\n" + head
-        for d, (lv, ids) in enumerate(zip(levels, tree.layout)):
+        for d, (lv, first) in enumerate(zip(levels, tree.topo.offsets)):
             n, k, prev = lv.n, lv.k, self.clocks[d]
             self.clocks[d] = lv.clock
             down = None  # the bit sent to the children, or 2 for the state plane up
@@ -83,7 +83,7 @@ class Recorder:
                      f'"perm_disabled":{p},"emitted":{e}}}'
                      for ident, v, s, m, lm, lc, p, e in zip(
                          self.idents[d], words, state, match, l_m, kids, perm, emitted)]
-            self.tails[ids[0]:ids[0] + n] = map(tails.__getitem__, self.order[d])
+            self.tails[first:first + n] = map(tails.__getitem__, self.order[d])
         self.write(text + ("\n" + head).join(self.tails) + "\n")
 
 
@@ -138,7 +138,7 @@ def _int_field(record: dict, name: str, where: str) -> int:
 
 
 def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
-    """Rebuild a segment's tree from its cycle-0 events; its run resets it.
+    """Rebuild a segment's tree, in its cycle-0 state, from its cycle-0 events.
 
     Checks the header and the leading cycle-0 events, the only ones the
     rebuild reads, and raises ValueError on the first bad field, or on an
@@ -183,7 +183,7 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
             raise ValueError(f"{where}: word {word} out of range [0, 2^{w})")
         flags = [_int_field(e, name, where) for name in _FLAG_FIELDS]
         links = e.get("l_children")
-        n_children = len(topo.children_of[i])
+        n_children = topo.fanout(d := topo.depth(i))
         if type(links) is not list or len(links) != n_children:
             raise ValueError(f"{where}: field 'l_children' must list {n_children} bits")
         if any(b not in (0, 1) or type(b) is not int for b in flags + links):
@@ -191,12 +191,13 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
         # Planes hold only words and perm_disabled flags; the rest must be as
         # reset_flags leaves it: state and start 1 on the searching root and
         # on max/min leaves, match 0 only on disabled non-root search nodes.
-        d, p = topo.depth_of[i], flags[4]
+        p = flags[4]
         awake = d == 0 if mode is Mode.SEARCH else d == last > 0
         if flags[:4] != [awake, awake, 1 - p if d and mode is Mode.SEARCH else 1, p] or any(links):
             raise ValueError(f"{where}: not the {mode.value} reset state of a "
-                             f"{topo.role_of[i].value} with perm_disabled {p}")
+                             f"{topo.role(d).value} with perm_disabled {p}")
         words[i], perm[i] = word, p
     tree = LoadedTree.load(topo, mode, words[0], words[1:], 0, disable_padding=False)
     tree.disable(i for i in range(n) if perm[i])
+    tree.rearm(mode, phase1_only=phase1_only)  # applies perm_disabled
     return tree

@@ -136,10 +136,8 @@ def test_trace_stream_round_trip(topo_2_3_4):
     meta, events = segments[0]
     assert meta["mode"] == "search"
 
-    # A rebuilt tree is reset by the run that replays it; copy it reset.
-    rebuilt = tree_from_events(meta, events)
-    rebuilt.rearm(rebuilt.mode)
-    replay = rebuilt.configuration()
+    # A rebuilt tree is in its cycle-0 state, ready to copy.
+    replay = tree_from_events(meta, events).configuration()
     out = [e.to_json() for e in snapshot(replay)]
 
     def on_step2(c, emissions):

@@ -180,15 +180,18 @@ def test_a_lone_root_matches_the_object_engine(mode):
         assert tree.cycle == default_cycle_budget(topo)
 
 
-def _loaded_by_nodes(topo, els, mode, key=None):
+def _loaded_by_nodes(topo, els, mode, key=None, *, pad=None, disable_padding=None):
     """The state a load held when it built node objects: padding words,
-    perm_disabled on search padding, then the reset for ``mode``."""
-    pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
+    perm_disabled on padding (by default, search padding), then the reset
+    for ``mode``."""
+    if pad is None:
+        pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
+    if disable_padding is None:
+        disable_padding = mode is Mode.SEARCH
     words = [key if mode is Mode.SEARCH else pad, *els] + [pad] * (topo.n - 1 - len(els))
     cfg = Configuration(topo=topo, nodes=[make_node(topo, i, v) for i, v in enumerate(words)])
-    if mode is Mode.SEARCH:
-        for nd in cfg.nodes[len(els) + 1:]:
-            nd.flags.perm_disabled = 1
+    for nd in cfg.nodes[len(els) + 1:]:
+        nd.flags.perm_disabled = int(disable_padding)
     return reset_configuration(cfg, mode)
 
 
@@ -206,6 +209,57 @@ def test_plane_form_trees_match_the_object_engine(eta, h, w):
             key = rng.randrange(limit)
             fresh = load_list(topo, els, mode, key=key)
             assert full_state(fresh.configuration()) == full_state(_loaded_by_nodes(topo, els, mode, key))
+
+
+@pytest.mark.parametrize("eta,h,w", SHAPES)
+def test_a_fresh_load_is_in_its_modes_reset_state(eta, h, w):
+    """``LoadedTree.load`` alone, as the trace rebuild calls it, leaves the
+    tree in its mode's reset state, so ``configuration()`` and ``bit()``
+    work before any run, with or without disabled padding."""
+    topo = cached_topology(eta, h, w)
+    rng = random.Random(f"{eta}:{h}:{w}:fresh")
+    for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
+        for disable_padding in (False, True):
+            els = random_elements(rng, topo.n - 1, w, max_len=16)
+            root, pad = rng.randrange(1 << w), rng.randrange(1 << w)
+            tree = LoadedTree.load(topo, mode, root, els, pad, disable_padding=disable_padding)
+            expected = _loaded_by_nodes(topo, els, mode, root if mode is Mode.SEARCH else None,
+                                        pad=pad, disable_padding=disable_padding)
+            if mode is not Mode.SEARCH:
+                expected.root.word = root
+            assert full_state(tree.configuration()) == full_state(expected)
+            assert [tree.bit("state", i) for i in range(topo.n)] == [
+                nd.flags.state for nd in expected.nodes]
+
+
+_WIDTHS = (1, 7, 8, 9, 16, 17, 32, 33, 63, 64)
+
+
+@pytest.mark.parametrize("w", _WIDTHS)
+def test_word_planes_round_trip_every_word(w):
+    """The packing, from one byte lane or from wider ones, keeps every bit
+    of every word, at both ends of the range."""
+    topo = cached_topology(2, 4, w)
+    rng = random.Random(f"{w}:pack")
+    els = [0, (1 << w) - 1, 1, 1 << (w - 1)] + [rng.getrandbits(w) for _ in range(topo.n - 5)]
+    tree = load_list(topo, els, Mode.MAX)
+    assert [nd.word for nd in tree.configuration().nodes] == [0, *els]
+
+
+@pytest.mark.parametrize("w", _WIDTHS)
+def test_a_bad_element_is_named_first_in_list_order(w):
+    """Elements are checked by the packing; a bad one gives the one-line
+    error naming the first offender in list order, not in tree order."""
+    topo = cached_topology(2, 4, w)
+    lane = 1 << 8 * ((w + 7) // 8)  # past the bytes that hold w bits
+    bad = [-1, 1 << w, -(1 << w), lane] + ([(1 << w) + 1] if lane > 1 << w else [])
+    for x in bad:
+        top = (1 << w) - 1
+        for els in ([x], [1, 0, x, 1], [top, 1, x, lane - 1, -2], [0] * 15 + [x]):
+            for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
+                with pytest.raises(ValueError) as info:
+                    load_list(topo, els, mode, key=0)
+                assert str(info.value) == f"element {x} out of range [0, 2^{w})", els
 
 
 @pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX])

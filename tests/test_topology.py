@@ -1,7 +1,9 @@
 """Tree arithmetic and construction."""
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cayley_imc.topology import (
     MAX_NODES,
@@ -128,3 +130,73 @@ class TestBuildTopology:
         topo = cached_topology(3, 4, 4)
         by_depth = [topo.depth_of[i] for i in range(topo.n)]
         assert by_depth == sorted(by_depth)
+
+
+@lru_cache(maxsize=64)
+def _breadth_first(eta: int, height: int) -> dict:
+    """The per-node tables of an eager breadth-first construction: the
+    frontier of each level hands out consecutive ids to its nodes'
+    children, left to right."""
+    n = node_count(eta, height)
+    parent, children = [-1] * n, [()] * n
+    role, depth, slot = [Role.LEAF] * n, [0] * n, [0] * n
+    role[0] = Role.ROOT
+    next_id, frontier = 1, [0]
+    for level in range(1, height):
+        new_frontier = []
+        for node in frontier:
+            fanout = eta + 1 if node == 0 else eta
+            kids = tuple(range(next_id, next_id + fanout))
+            next_id += fanout
+            children[node] = kids
+            if node != 0:
+                role[node] = Role.INTERMEDIATE
+            for i, kid in enumerate(kids):
+                parent[kid], depth[kid], slot[kid] = node, level, i
+            new_frontier.extend(kids)
+        frontier = new_frontier
+    assert next_id == n
+    return {"parent_of": tuple(parent), "children_of": tuple(children),
+            "role_of": tuple(role), "depth_of": tuple(depth), "parent_slot": tuple(slot),
+            "leaves": tuple(i for i in range(n) if role[i] is Role.LEAF)}
+
+
+def _reference_layout(eta: int, height: int):
+    """Each level's ids in slot-major position order, built level by level
+    from the breadth-first ids: the node at position 0 of a level has the
+    level's lowest id, and the children of its j-th node are the j-th run
+    of ``k`` consecutive ids of the next level."""
+    levels = [(0,)]
+    for d in range(1, height):
+        parents, k = levels[-1], (eta + 1 if d == 1 else eta)
+        low, first = parents[0], parents[0] + len(parents)
+        levels.append(tuple(first + (p - low) * k + s for s in range(k) for p in parents))
+    return levels
+
+
+class TestArithmetic:
+    """The closed forms against the breadth-first construction."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 4), st.integers(1, 12))
+    def test_positions_and_layout_match_the_construction(self, eta, height):
+        assume(node_count(eta, height) <= 40_000)
+        topo = build_topology(TreeParams(eta, height, 4))
+        levels = _reference_layout(eta, height)
+        assert list(map(tuple, topo.layout())) == levels
+        assert topo.offsets == tuple([ids[0] for ids in levels] + [topo.n])
+        # locate inverts the layout, on every node.
+        for depth, ids in enumerate(levels):
+            assert [topo.locate(i) for i in ids] == [(depth, q) for q in range(len(ids))]
+            assert {topo.depth(i) for i in ids} == {depth}
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 4), st.integers(1, 12))
+    def test_lazy_tables_equal_an_eager_build(self, eta, height):
+        assume(node_count(eta, height) <= 40_000)
+        topo = build_topology(TreeParams(eta, height, 4))
+        assert "children_of" not in vars(topo)  # nothing per node until asked
+        for name, table in _breadth_first(eta, height).items():
+            assert getattr(topo, name) == table, name
+        assert [topo.fanout(d) for d in topo.depth_of] == list(map(len, topo.children_of))
+        assert [topo.role(d) for d in topo.depth_of] == list(topo.role_of)
