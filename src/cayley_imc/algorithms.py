@@ -18,7 +18,7 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 # Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
-from .engine import ProtocolError, default_cycle_budget, run_until_quiescent  # noqa: F401
+from .engine import ProtocolError, run_until_quiescent  # noqa: F401
 from .node import Mode
 from .planes import LoadedTree, _bits
 from .topology import CayleyTopology, TreeParams, node_count
@@ -73,11 +73,12 @@ def load_list(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
     nodes are permanently disabled with match pre-forced to 0, so a key
     that happens to equal the padding word can never produce a false hit.
     """
-    return _load(topo, elements, mode, key, disable_padding=mode is Mode.SEARCH)
+    return _load(topo, elements, mode, key, int(mode is Mode.SEARCH))
 
 
 def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
-          key: int | None, *, disable_padding: bool) -> LoadedTree:
+          key: int | None, padding_perm: int) -> LoadedTree:
+    """``load_list``; each padding node's ``perm_disabled`` is ``padding_perm``."""
     if mode not in (Mode.SEARCH, Mode.MAX, Mode.MIN):
         raise ValueError(f"cannot load a tree for mode {mode}")
     if topo.params.height < 2:
@@ -89,8 +90,8 @@ def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
             f"{len(elements)} elements exceed the {topo.n - 1} non-root slots"
         )
     pad_word = limit - 1 if mode is Mode.MIN else 0
-    tree = LoadedTree.load(topo, mode, pad_word, elements, pad_word,
-                           disable_padding=disable_padding)  # checks the elements
+    flags = bytes(len(elements) + 1) + bytes([padding_perm]) * (topo.n - 1 - len(elements))
+    tree = LoadedTree.load(topo, mode, pad_word, elements, pad_word, flags)  # checks the elements
     if mode is Mode.SEARCH:
         if key is None:
             raise ValueError("search mode requires a key")
@@ -98,15 +99,6 @@ def _load(topo: CayleyTopology, elements: Sequence[int], mode: Mode,
             raise ValueError(f"key {key} out of range [0, 2^{w})")
         tree.root_word = key
     return tree
-
-
-def _run(tree: LoadedTree, mode: Mode, on_step: StepObserver | None = None, *,
-         phase1_only: bool = False) -> int:
-    """Reset ``tree`` for ``mode`` and run it to quiescence on its bit
-    planes; return the cycles.  ``on_step`` sees the tree after the reset
-    and after every cycle."""
-    return tree.run(mode, default_cycle_budget(tree.topo), phase1_only=phase1_only,
-                    on_step=on_step)
 
 
 def search(tree: LoadedTree, key: int, collect_matches: bool = False,
@@ -123,12 +115,12 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
     if not 0 <= key < (1 << w):
         raise ValueError(f"key {key} out of range [0, 2^{w})")
     tree.root_word = key
-    cycles = _run(tree, Mode.SEARCH, on_step)
+    cycles = tree.run(Mode.SEARCH, on_step=on_step)
     matched: frozenset[int] = frozenset()
     if collect_matches:  # each level's phase-1 matches, through its ids in position order
         hits = chain.from_iterable(
             compress(ids, _bits(lv.phase1_match, lv.n))
-            for lv, ids in zip(tree.levels, tree.layout) if lv.phase1_match)
+            for lv, ids in zip(tree.levels, tree.topo.layout()) if lv.phase1_match)
         matched = frozenset(filter(tree.occupied.__contains__, hits))
     return SearchResult(found=tree.bit("state", 0), cycles=cycles,
                         matched_nodes=matched)
@@ -137,7 +129,7 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
 def _run_extremum(tree: LoadedTree, mode: Mode,
                   on_step: StepObserver | None) -> ExtremumResult:
     tree.check_mode(mode)
-    cycles = _run(tree, mode, on_step)
+    cycles = tree.run(mode, on_step=on_step)
     return ExtremumResult(value=tree.root_word, cycles=cycles)
 
 
@@ -174,19 +166,19 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
 
     # Padding slots sit out the whole sort; only occupied nodes count for
     # termination, otherwise an empty slot would inject its padding word.
-    tree = _load(topo, elements, mode, None, disable_padding=True)
+    tree = _load(topo, elements, mode, None, 1)
     output: list[int] = []
     per_round: list[int] = []
     below, remaining = tree.levels[1:], len(elements)
     while remaining:
-        cycles_a = _run(tree, mode, on_step)
+        cycles_a = tree.run(mode, on_step=on_step)
         value = tree.root_word
 
-        cycles_b = _run(tree, Mode.SEARCH, on_step, phase1_only=True)
+        cycles_b = tree.run(Mode.SEARCH, phase1_only=True, on_step=on_step)
 
         copies = sum(lv.match.bit_count() for lv in below)
         if not copies:
-            live = sorted(i for lv, ids in zip(below, tree.layout[1:])
+            live = sorted(i for lv, ids in zip(below, tree.topo.layout()[1:])
                           for p, i in enumerate(ids) if not lv.perm >> p & 1)
             raise ProtocolError(
                 f"sort round found no node holding {value}; live set {live}")

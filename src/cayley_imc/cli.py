@@ -238,8 +238,7 @@ def _replay(meta: dict, events: list[dict]) -> list[str]:
     """Rebuild a segment's cycle-0 tree, rerun it, and return its event lines."""
     tree = tree_from_events(meta, events)
     out: list[str] = []
-    tree.run(tree.mode, engine.default_cycle_budget(tree.topo),
-             phase1_only=meta.get("phase1_only", False),
+    tree.run(tree.mode, phase1_only=meta.get("phase1_only", False),
              on_step=Recorder(lambda text: out.extend(text.splitlines())))
     return out[1:]  # after the header
 

@@ -25,10 +25,10 @@ The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
 shape, each cycle's data operations as a few ranges of depths, and its
 length is the cycle count.  ``LoadedTree.run`` is the one run loop, for
-observed, unobserved, budgeted and replayed runs alike: it applies only
-those operations to the planes.  The control values are derived from
-(mode, ``phase1_only``, cycle) when something reads them: before each call
-of an observer, at a budget cut, and in ``configuration``.
+observed, unobserved and replayed runs alike: it applies only those
+operations to the planes, so a run is its schedule.  The control values
+are derived from (mode, ``phase1_only``, cycle) when something reads them:
+before each call of an observer, and in ``configuration``.
 
 The operations mirror the transition functions of ``node.py``, leaving out
 only relay cycles of the leaves that change nothing; the tests compare
@@ -39,11 +39,11 @@ which stays the executable specification.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from operator import and_, attrgetter, itemgetter, rshift
 from typing import Callable, Iterable, Sequence
 
-from .engine import Configuration, _budget_exhausted, _validate_quiescent
+from .engine import Configuration, ProtocolError, _budget_exhausted, default_cycle_budget
 from .node import Mode, make_node
 from .topology import CayleyTopology
 
@@ -158,7 +158,8 @@ class _Level:
 
     ``words`` and ``perm`` (the ``perm_disabled`` flags) last from run to
     run.  ``rot`` counts this run's word rotations (at the root, ``writes``)
-    as last derived; only a run cut short stops short of a whole turn.
+    as last derived; only a tournament its observer aborted stops short of a
+    whole turn.
     """
 
     __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state",
@@ -192,12 +193,13 @@ class LoadedTree:
 
     @classmethod
     def load(cls, topo: CayleyTopology, mode: Mode, root_word: int,
-             elements: Sequence[int], pad_word: int, *, disable_padding: bool) -> LoadedTree:
+             elements: Sequence[int], pad_word: int, perm_disabled: bytes) -> LoadedTree:
         """Node 0 holds ``root_word``, nodes 1..len(elements) the elements,
-        the rest ``pad_word``, permanently disabled if ``disable_padding``;
-        the tree is left in the reset state of ``mode``.  Each level is
-        gathered from its breadth-first slice of the words; an element
-        outside [0, 2^w) is named by the first one in list order."""
+        the rest ``pad_word``; node ``i`` is permanently disabled if
+        ``perm_disabled[i]`` is 1.  The tree is left in the reset state of
+        ``mode``.  Each level is gathered from its breadth-first slice of
+        the words and flags; an element outside [0, 2^w) is named by the
+        first one in list order."""
         tree = cls()
         p, offs = topo.params, topo.offsets
         tree.topo, tree.w, w = topo, p.word_size, p.word_size
@@ -206,10 +208,9 @@ class LoadedTree:
         orders, parents, k = topo.level_orders(), [0], 1  # the root: slot 0 of one parent
         for d in range(p.height):
             lo, n = offs[d], offs[d + 1] - offs[d]
-            live, perm = min(max(len(elements) + 1 - lo, 0), n), 0  # a breadth-first prefix
-            if disable_padding and live < n:
-                flags = bytes(live) + b"\1" * (n - live)
-                perm = _pack(_gather(flags, parents, k), 1)[0] if live else (1 << n) - 1
+            flags, perm = perm_disabled[lo:lo + n], 0
+            if 1 in flags:
+                perm = _pack(_gather(flags, parents, k), 1)[0]
             try:
                 planes = _pack(_gather(words[lo:lo + n], parents, k), w)
             except ValueError:
@@ -221,11 +222,6 @@ class LoadedTree:
         tree.rearm(mode)
         return tree
 
-    @property
-    def layout(self) -> list[list[int]]:
-        """Each level's node ids in position order, computed on every read."""
-        return self.topo.layout()
-
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
         """Apply ``reset_flags`` for ``mode`` to the planes a run or ``bit``
         reads; the words keep their value, and ``link_mem`` comes up from
@@ -235,7 +231,9 @@ class LoadedTree:
         self.mode, self.phase1_only, self.cycle, self._derived = mode, phase1_only, 0, False
         levels, w, search = self.levels, self.w, mode is Mode.SEARCH
         for lv in levels:
-            if lv.rot % w:  # only a cut-off tournament leaves words part rotated
+            # A tournament whose observer raised part way leaves its words part
+            # rotated, as the object engine does; the next run reads them so.
+            if lv.rot % w:
                 lv.words = lv.aligned(w)
             lv.link_mem, lv.links, lv.rot, lv.phase1_match, lv.state = lv.perm, 0, 0, None, 0
             lv.match = lv.mask & ~lv.perm if search else lv.mask
@@ -273,21 +271,24 @@ class LoadedTree:
             d, p = self.topo.locate(i)
             self.levels[d].perm |= 1 << p
 
-    def run(self, mode: Mode, max_cycles: int, *, phase1_only: bool = False,
+    def run(self, mode: Mode, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
         """``rearm``, then run the shape's schedule to quiescence; return the
         cycles.  ``on_step(tree)`` follows the ``rearm`` and every cycle, with
-        the control values derived for it to read."""
-        self.rearm(mode, phase1_only=phase1_only)
+        the control values derived for it to read.  A tournament on a lone
+        root never starts: it is refused as the object engine's budget
+        refuses it."""
         levels, w = self.levels, self.w
-        last, root = len(levels) - 1, levels[0]
         cycles = _schedule(mode is Mode.SEARCH, len(levels), w, phase1_only)
+        if cycles is None:
+            raise _budget_exhausted(mode, self.topo.params, default_cycle_budget(self.topo))
+        self.rearm(mode, phase1_only=phase1_only)
+        last, root = len(levels) - 1, levels[0]
         if on_step is not None:
             self._set_control(0)
             on_step(self)
         key, inv = root.words, mode is Mode.MIN  # searching never rotates
-        steps = repeat((), max_cycles) if cycles is None else islice(cycles, max_cycles)
-        for t, ranges in enumerate(steps):
+        for t, ranges in enumerate(cycles):
             for op, lo, hi in ranges:
                 if op == _COMBINE:  # receive_max; the j-th child plane turns rot to j
                     for d in range(lo, hi):
@@ -339,13 +340,15 @@ class LoadedTree:
             if on_step is not None:
                 self._set_control(t + 1)
                 on_step(self)
-        if cycles is None or len(cycles) > max_cycles:
-            self._set_control(max_cycles)
-            raise _budget_exhausted(mode, self.topo.params, max_cycles)
         self.cycle = len(cycles)
-        if mode is Mode.SEARCH and not phase1_only and any(
-                lv.state or lv.match for lv in levels[1:]):
-            _validate_quiescent(self.configuration())  # names the node
+        if mode is Mode.SEARCH and not phase1_only:
+            for d, lv in enumerate(levels):
+                if d and lv.state | lv.match:  # ids grow with depth: the lowest is here
+                    i, p = min((i, p) for p, (i, b) in enumerate(
+                        zip(self.topo.layout()[d], _bits(lv.state | lv.match, lv.n))) if b)
+                    raise ProtocolError(
+                        f"search quiescence reached but node {i} has not drained "
+                        f"(state={lv.state >> p & 1}, match={lv.match >> p & 1})")
         return self.cycle
 
     def _set_control(self, cycle: int) -> None:

@@ -48,7 +48,7 @@ class Recorder:
         levels, w, search = tree.levels, tree.w, tree.mode is Mode.SEARCH
         head = text = f'{{"cycle":{tree.cycle}'
         if not tree.cycle:
-            layout, role = tree.layout, tree.topo.role
+            layout, role = tree.topo.layout(), tree.topo.role
             self.idents = [[f',"node":{i},"depth":{d},"role":"{role(d).value}","word":'
                             for i in ids] for d, ids in enumerate(layout)]
             self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in layout]
@@ -138,7 +138,8 @@ def _int_field(record: dict, name: str, where: str) -> int:
 
 
 def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
-    """Rebuild a segment's tree, in its cycle-0 state, from its cycle-0 events.
+    """Rebuild a segment's tree from its cycle-0 events, loaded in the
+    segment mode's reset state; its run applies the header's ``phase1_only``.
 
     Checks the header and the leading cycle-0 events, the only ones the
     rebuild reads, and raises ValueError on the first bad field, or on an
@@ -197,7 +198,4 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
             raise ValueError(f"{where}: not the {mode.value} reset state of a "
                              f"{topo.role(d).value} with perm_disabled {p}")
         words[i], perm[i] = word, p
-    tree = LoadedTree.load(topo, mode, words[0], words[1:], 0, disable_padding=False)
-    tree.disable(i for i in range(n) if perm[i])
-    tree.rearm(mode, phase1_only=phase1_only)  # applies perm_disabled
-    return tree
+    return LoadedTree.load(topo, mode, words[0], words[1:], 0, perm)

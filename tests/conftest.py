@@ -82,22 +82,22 @@ def full_state(cfg) -> tuple:
     return (cfg.mode, cfg.global_cycle, cfg.phase1_only, tuple(rows))
 
 
-def _object_run(cfg, mode, budget) -> int:
+def _object_run(cfg, mode, on_step) -> int:
     reset_configuration(cfg, mode)
-    return run_until_quiescent(cfg, budget or default_cycle_budget(cfg.topo))[1]
+    return run_until_quiescent(cfg, default_cycle_budget(cfg.topo), on_step)[1]
 
 
-def object_search(cfg, key, occupied, budget=None) -> SearchResult:
+def object_search(cfg, key, occupied, on_step=None) -> SearchResult:
     """``search`` with matches collected from ``occupied``, run by the
     object engine alone on the configuration ``cfg``."""
     cfg.root.word = key
-    cycles = _object_run(cfg, Mode.SEARCH, budget)
+    cycles = _object_run(cfg, Mode.SEARCH, on_step)
     return SearchResult(found=cfg.root.flags.state, cycles=cycles,
                         matched_nodes=frozenset(i for i in occupied if cfg.nodes[i].phase1_match))
 
 
-def object_extremum(cfg, mode, budget=None) -> ExtremumResult:
+def object_extremum(cfg, mode, on_step=None) -> ExtremumResult:
     """``compute_max`` or ``compute_min``, run by the object engine alone on
     the configuration ``cfg``."""
-    cycles = _object_run(cfg, mode, budget)
+    cycles = _object_run(cfg, mode, on_step)
     return ExtremumResult(value=cfg.root.word, cycles=cycles)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cayley_imc import cli
+from cayley_imc import cli, planes
 from cayley_imc.cli import InputError, main, parse_input
 from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology
 
@@ -263,6 +263,39 @@ class TestTrace:
         status, out, _ = run_cli(capsys, "trace", str(path))
         assert status == 0
         assert out == "trace: 8 segment(s), 640 events, replay matches\n"
+
+    def test_replay_resets_each_segment_twice(self, capsys, tmp_path, monkeypatch):
+        # Once by the rebuild's load and once by the run: no third reset to
+        # apply perm_disabled or phase1_only.
+        path = tmp_path / "sort.trace"
+        run_cli(capsys, "sort", "--list", "9,1,5,5,3", "--word-size", "4",
+                "--trace-out", str(path))
+        resets, rearm = [], planes.LoadedTree.rearm
+
+        def counted(tree, *args, **kwargs):
+            resets.append(tree)
+            rearm(tree, *args, **kwargs)
+
+        monkeypatch.setattr(planes.LoadedTree, "rearm", counted)
+        status, out, _ = run_cli(capsys, "trace", str(path))
+        assert (status, out) == (0, "trace: 8 segment(s), 640 events, replay matches\n")
+        assert len(resets) == 2 * 8
+
+    def test_runs_and_replays_build_no_node_objects(self, capsys, tmp_path, monkeypatch):
+        # Node objects come only from configuration(), a copy for tests.
+        def refuse(*args):
+            raise AssertionError("a node object was built")
+
+        monkeypatch.setattr(planes, "make_node", refuse)
+        for i, argv in enumerate([("search", "--key", "5", "--height", "4"), ("max",), ("min",),
+                                  ("sort",), ("sort", "--order", "asc")]):
+            path = tmp_path / f"{i}.trace"
+            status, out, err = run_cli(capsys, *argv, "--list", "9,1,5,5,3", "--word-size", "4",
+                                       "--trace-out", str(path))
+            assert (status, err) == (0, ""), argv
+            assert "oracle: agree" in out.splitlines(), argv
+            status, out, _ = run_cli(capsys, "trace", str(path))
+            assert (status, out.endswith("replay matches\n")) == (0, True), argv
 
     def test_empty_sort_trace_is_refused_by_replay(self, capsys, tmp_path):
         path = tmp_path / "empty.trace"

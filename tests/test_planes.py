@@ -15,13 +15,13 @@ from functools import partial
 
 import pytest
 
-from cayley_imc import algorithms
 from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
 from cayley_imc.engine import (
     Configuration,
     ProtocolError,
     QuiescenceError,
     _quiescent,
+    _validate_quiescent,
     default_cycle_budget,
     reset_configuration,
     run_until_quiescent,
@@ -73,10 +73,30 @@ def _lockstep(obj, tree, mode, phase1_only=False) -> int:
         assert full_state(t.configuration()) == full_state(obj), where
         quiet.append(_quiescent(obj))
 
-    cycles = tree.run(mode, default_cycle_budget(tree.topo), phase1_only=phase1_only,
-                      on_step=compare)
+    cycles = tree.run(mode, phase1_only=phase1_only, on_step=compare)
     assert quiet.index(True) == cycles == len(quiet) - 1
     return cycles
+
+
+class _Abort(Exception):
+    """Raised by an observer to stop a run part way."""
+
+
+def _stop_at(cycle):
+    """An observer of a tree's run that aborts it after ``cycle`` cycles."""
+    def stop(t):
+        if t.cycle == cycle:
+            raise _Abort
+    return stop
+
+
+def _object_stop_at(cycle):
+    """An observer of the object engine that aborts its run after ``cycle``
+    cycles (``cycle`` >= 1: it first sees the state after one)."""
+    def stop(cfg, emissions):
+        if cfg.global_cycle == cycle:
+            raise _Abort
+    return stop
 
 
 def _twins(topo, els, mode, key=None):
@@ -167,31 +187,39 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
 @pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX, Mode.MIN])
 def test_a_lone_root_matches_the_object_engine(mode):
     """A height-1 tree (only a replayed trace builds one) is its root.  A
-    search takes w + 2 cycles; a tournament has no leaves to start it, so
-    the budget cuts it.  Every cycle still matches the object engine."""
+    search takes w + 2 cycles, every one matching the object engine.  A
+    tournament has no leaves to start it, so the object engine's budget
+    runs out; the tree refuses it before its first cycle, with the same
+    message."""
     topo = cached_topology(2, 1, 4)
-    tree = LoadedTree.load(topo, mode, 5, [], 0, disable_padding=False)
+    tree = LoadedTree.load(topo, mode, 5, [], 0, bytes(1))
     obj = Configuration(topo=topo, nodes=[make_node(topo, 0, 5)])
     if mode is Mode.SEARCH:
         assert _lockstep(obj, tree, mode) == 4 + 2
-    else:
-        with pytest.raises(QuiescenceError):
-            _lockstep(obj, tree, mode)
-        assert tree.cycle == default_cycle_budget(topo)
+        return
+    reset_configuration(obj, mode)
+    with pytest.raises(QuiescenceError) as spec:
+        run_until_quiescent(obj, default_cycle_budget(topo))
+    seen = []
+    with pytest.raises(QuiescenceError) as planes:
+        tree.run(mode, on_step=seen.append)
+    assert str(planes.value) == str(spec.value)
+    assert str(spec.value) == f"{mode.value} run not quiescent after 32 cycles (eta=2, h=1, w=4)"
+    assert seen == []
 
 
-def _loaded_by_nodes(topo, els, mode, key=None, *, pad=None, disable_padding=None):
+def _loaded_by_nodes(topo, els, mode, key=None, *, pad=None, perm=None):
     """The state a load held when it built node objects: padding words,
-    perm_disabled on padding (by default, search padding), then the reset
-    for ``mode``."""
+    perm_disabled from the breadth-first flags ``perm`` (by default, on
+    search padding), then the reset for ``mode``."""
     if pad is None:
         pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
-    if disable_padding is None:
-        disable_padding = mode is Mode.SEARCH
+    if perm is None:
+        perm = bytes(len(els) + 1) + bytes([mode is Mode.SEARCH]) * (topo.n - 1 - len(els))
     words = [key if mode is Mode.SEARCH else pad, *els] + [pad] * (topo.n - 1 - len(els))
     cfg = Configuration(topo=topo, nodes=[make_node(topo, i, v) for i, v in enumerate(words)])
-    for nd in cfg.nodes[len(els) + 1:]:
-        nd.flags.perm_disabled = int(disable_padding)
+    for nd, flag in zip(cfg.nodes, perm):
+        nd.flags.perm_disabled = flag
     return reset_configuration(cfg, mode)
 
 
@@ -215,16 +243,20 @@ def test_plane_form_trees_match_the_object_engine(eta, h, w):
 def test_a_fresh_load_is_in_its_modes_reset_state(eta, h, w):
     """``LoadedTree.load`` alone, as the trace rebuild calls it, leaves the
     tree in its mode's reset state, so ``configuration()`` and ``bit()``
-    work before any run, with or without disabled padding."""
+    work before any run: with no node disabled, with the padding disabled,
+    and with any nodes disabled, the root among them."""
     topo = cached_topology(eta, h, w)
     rng = random.Random(f"{eta}:{h}:{w}:fresh")
     for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
-        for disable_padding in (False, True):
+        for flags in ("none", "padding", "any"):
             els = random_elements(rng, topo.n - 1, w, max_len=16)
             root, pad = rng.randrange(1 << w), rng.randrange(1 << w)
-            tree = LoadedTree.load(topo, mode, root, els, pad, disable_padding=disable_padding)
+            perm = {"none": bytes(topo.n),
+                    "padding": bytes(len(els) + 1) + b"\1" * (topo.n - 1 - len(els)),
+                    "any": bytes(rng.random() < 0.3 for _ in range(topo.n))}[flags]
+            tree = LoadedTree.load(topo, mode, root, els, pad, perm)
             expected = _loaded_by_nodes(topo, els, mode, root if mode is Mode.SEARCH else None,
-                                        pad=pad, disable_padding=disable_padding)
+                                        pad=pad, perm=perm)
             if mode is not Mode.SEARCH:
                 expected.root.word = root
             assert full_state(tree.configuration()) == full_state(expected)
@@ -262,43 +294,69 @@ def test_a_bad_element_is_named_first_in_list_order(w):
                 assert str(info.value) == f"element {x} out of range [0, 2^{w})", els
 
 
-@pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX])
-def test_budget_exhaustion_in_plane_form(topo_2_3_4, monkeypatch, mode):
-    read, rerun = (load_list(topo_2_3_4, [3, 1, 2], mode, key=0) for _ in range(2))
-    twin = load_list(topo_2_3_4, [3, 1, 2], mode, key=0).configuration()
-    if mode is Mode.SEARCH:
-        run, run_twin = partial(search, key=2), partial(object_search, twin, 2, ())
-    else:
-        run, run_twin = compute_max, partial(object_extremum, twin, mode)
-    with monkeypatch.context() as m:
-        m.setattr(algorithms, "default_cycle_budget", lambda topo: 3)
-        for tree in (read, rerun):
-            with pytest.raises(QuiescenceError):
-                run(tree)
-    with pytest.raises(QuiescenceError):
-        run_twin(budget=3)
-    assert full_state(read.configuration()) == full_state(twin)
-    # The next run starts from the words the cut-off run left part rotated.
-    assert run(rerun) == run_twin()
-    assert full_state(rerun.configuration()) == full_state(twin)
+@pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX, Mode.MIN])
+def test_an_aborted_run_in_plane_form(topo_2_3_4, mode):
+    """An observer that raises stops a run through the entry points after
+    any of its cycles.  The tree is left as the object engine is left by the
+    same abort, and the next run, which starts from the words an aborted
+    tournament left part rotated, gives the same result and state."""
+    els = [3, 1, 2, 7, 12, 5]
+    length = len(_schedule(mode is Mode.SEARCH, 3, 4, False))
+    for cycle in range(1, length + 1):
+        tree = load_list(topo_2_3_4, els, mode, key=0)
+        twin = load_list(topo_2_3_4, els, mode, key=0).configuration()
+        if mode is Mode.SEARCH:
+            run, run_twin = partial(search, key=2), partial(object_search, twin, 2, ())
+        else:
+            run = compute_max if mode is Mode.MAX else compute_min
+            run_twin = partial(object_extremum, twin, mode)
+        with pytest.raises(_Abort):
+            run(tree, on_step=_stop_at(cycle))
+        with pytest.raises(_Abort):
+            run_twin(on_step=_object_stop_at(cycle))
+        assert full_state(tree.configuration()) == full_state(twin), cycle
+        assert run(tree) == run_twin(), cycle
+        assert full_state(tree.configuration()) == full_state(twin), cycle
 
 
-def _unobserved_and_observed(pair, mode, budget, phase1_only=False):
-    """The full state of a copy of ``pair[0]`` after an unobserved run, and
-    of the copy an observer takes of ``pair[1]`` on the last cycle of the
-    same run."""
+def test_an_aborted_run_leaves_the_object_engine_state(topo_2_3_4):
+    """``LoadedTree.run`` stopped by its observer after any cycle of any
+    mode, the comparison phase of sorting included, leaves the state the
+    object engine holds when the same observer stops it."""
+    els = [3, 1, 2, 7, 12, 5]
+    for mode, phase1_only in ((Mode.SEARCH, False), (Mode.SEARCH, True), (Mode.MAX, False),
+                              (Mode.MIN, False)):
+        length = len(_schedule(mode is Mode.SEARCH, 3, 4, phase1_only))
+        for cycle in range(1, length + 1):
+            obj, tree = _twins(topo_2_3_4, els, mode, key=2)
+            reset_configuration(obj, mode, phase1_only=phase1_only)
+            with pytest.raises(_Abort):
+                run_until_quiescent(obj, default_cycle_budget(topo_2_3_4), _object_stop_at(cycle))
+            with pytest.raises(_Abort):
+                tree.run(mode, phase1_only=phase1_only, on_step=_stop_at(cycle))
+            assert full_state(tree.configuration()) == full_state(obj), (mode, phase1_only, cycle)
+
+
+def _unobserved_and_observed(pair, mode, stop=None, phase1_only=False):
+    """The full state of a copy of ``pair[0]`` after a run, unobserved or
+    aborted after cycle ``stop`` by an observer that reads nothing, and of
+    the copy an observer takes of ``pair[1]`` on the last cycle of the same
+    run."""
     h, w = len(pair[0].levels), pair[0].w
-    last = min(budget, len(_schedule(mode is Mode.SEARCH, h, w, phase1_only)))
+    last = len(_schedule(mode is Mode.SEARCH, h, w, phase1_only)) if stop is None else stop
     seen = []
 
     def observe(t):
         if t.cycle == last:
             seen.append(full_state(t.configuration()))
+            if stop is not None:
+                raise _Abort
 
-    for tree, on_step in ((pair[0], None), (pair[1], observe)):
+    for tree, on_step in ((pair[0], None if stop is None else _stop_at(stop)),
+                          (pair[1], observe)):
         try:
-            tree.run(mode, budget, phase1_only=phase1_only, on_step=on_step)
-        except QuiescenceError:
+            tree.run(mode, phase1_only=phase1_only, on_step=on_step)
+        except _Abort:
             pass
     return full_state(pair[0].configuration()), seen.pop()
 
@@ -306,37 +364,36 @@ def _unobserved_and_observed(pair, mode, budget, phase1_only=False):
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_derived_control_equals_the_observed_control(eta, h, w):
     """An unobserved run leaves its control values to be derived when they
-    are read.  Whether the run finishes or a budget cuts it short, a copy
+    are read.  Whether the run finishes or its observer aborts it, a copy
     taken after it must equal the copy an observer takes on its last cycle,
     and chained runs must start from the same state."""
     topo = cached_topology(eta, h, w)
-    full = default_cycle_budget(topo)
     for seed in SEEDS:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:derived")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
         cut = rng.randrange(w + h)  # short of every run, rotation included
         key = rng.randrange(1 << w)
         pair = [load_list(topo, els, Mode.SEARCH, key=key) for _ in range(2)]
-        for budget, phase1_only in ((full, False), (full, True), (cut, False), (cut, True),
-                                    (full, False)):
-            quiet, watched = _unobserved_and_observed(pair, Mode.SEARCH, budget, phase1_only)
-            assert quiet == watched, (budget, phase1_only)
+        for stop, phase1_only in ((None, False), (None, True), (cut, False), (cut, True),
+                                  (None, False)):
+            quiet, watched = _unobserved_and_observed(pair, Mode.SEARCH, stop, phase1_only)
+            assert quiet == watched, (stop, phase1_only)
         for mode in (Mode.MAX, Mode.MIN):
             pair = [load_list(topo, els, mode) for _ in range(2)]
             ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
             for tree in pair:
                 tree.disable(ids)
-            for budget in (full, cut, full):
-                quiet, watched = _unobserved_and_observed(pair, mode, budget)
-                assert quiet == watched, (mode, budget)
+            for stop in (None, cut, None):
+                quiet, watched = _unobserved_and_observed(pair, mode, stop)
+                assert quiet == watched, (mode, stop)
 
 
 @pytest.mark.parametrize("eta,h,w", [(2, 3, 4), (1, 5, 8), (3, 2, 2)])
 def test_root_word_reads_the_rotated_planes(eta, h, w):
     """``root_word`` folds the root's one-bit word planes at the root's
     rotation: after every cycle of an observed tournament, after a
-    finished unobserved one, and after one cut off part way through its
-    writes."""
+    finished unobserved one, and after one its observer aborted part way
+    through its writes."""
     topo = cached_topology(eta, h, w)
     els = random_elements(random.Random(f"{eta}:{h}:{w}:root"), topo.n - 1, w, max_len=16)
     for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
@@ -351,10 +408,10 @@ def test_root_word_reads_the_rotated_planes(eta, h, w):
         assert seen == list(range(w + h + 1))
         run(tree)
         assert tree.root_word == tree.configuration().root.word, mode
-        for budget in range(w + h):
-            with pytest.raises(QuiescenceError):
-                tree.run(mode, budget)
-            assert tree.root_word == tree.configuration().root.word, (mode, budget)
+        for cycle in range(w + h):
+            with pytest.raises(_Abort):
+                tree.run(mode, on_step=_stop_at(cycle))
+            assert tree.root_word == tree.configuration().root.word, (mode, cycle)
 
 
 def test_configuration_is_a_copy(topo_2_3_4):
@@ -374,32 +431,38 @@ def test_configuration_is_a_copy(topo_2_3_4):
     assert later.nodes[4].word == 7 and later.nodes[1].flags.perm_disabled == 0
 
 
-def test_budget_exhaustion_leaves_the_object_engine_state(topo_2_3_4):
-    obj, tree = _twins(topo_2_3_4, [3, 1, 2], Mode.SEARCH, key=2)
-    reset_configuration(obj, Mode.SEARCH)
-    with pytest.raises(QuiescenceError):
-        run_until_quiescent(obj, 3)
-    with pytest.raises(QuiescenceError):
-        tree.run(Mode.SEARCH, 3)
-    assert full_state(tree.configuration()) == full_state(obj)
-
-
-def test_search_refuses_a_tree_that_has_not_drained(topo_2_3_4):
-    """A match bit left at a leaf once a full search is quiescent is a
-    protocol error, and the next search on the tree starts clean."""
+def test_search_refuses_a_tree_that_has_not_drained(topo_2_3_4, monkeypatch):
+    """A state or match bit left at a leaf once a full search is quiescent
+    is a protocol error naming the lowest such node id, as the object
+    engine's drain check does; the next search on the tree starts clean.
+    A search that drains reads no id layout."""
     els = [3, 1, 2, 7, 3]
     tree = load_list(topo_2_3_4, els, Mode.SEARCH, key=0)
+    with monkeypatch.context() as m:
+        m.setattr(type(topo_2_3_4), "layout", None)
+        assert search(tree, 3).found == 1
+    # Leaf positions 0..3 hold nodes 4, 6, 8 and 5: position order and id
+    # order differ at positions 1 and 3.
+    for state, match, node in ((0, 0b1010, 5), (0b1000, 0b10, 5), (0b10, 0, 6),
+                               (1, 0b1000, 4)):
+        expected = []
 
-    def stray_match(t):
-        if t.cycle == 4 + 2 * 3:  # w + 2h, the run's last cycle
-            t.levels[-1].match |= 1
+        def stray_bits(t):
+            if t.cycle == 4 + 2 * 3:  # w + 2h, the run's last cycle
+                t.levels[-1].state |= state
+                t.levels[-1].match |= match
+                with pytest.raises(ProtocolError) as spec:
+                    _validate_quiescent(t.configuration())
+                expected.append(str(spec.value))
 
-    with pytest.raises(ProtocolError, match="node 4 has not drained"):
-        search(tree, 3, on_step=stray_match)
-    for key in (3, 5):
-        got = search(tree, key, collect_matches=True)
-        assert got.found == oracle_search(els, key)
-        assert got.matched_nodes == {i for i, x in enumerate(els, 1) if x == key}
+        with pytest.raises(ProtocolError) as info:
+            search(tree, 3, on_step=stray_bits)
+        assert str(info.value) == expected.pop()
+        assert f"node {node} has not drained" in str(info.value)
+        for key in (3, 5):
+            got = search(tree, key, collect_matches=True)
+            assert got.found == oracle_search(els, key)
+            assert got.matched_nodes == {i for i, x in enumerate(els, 1) if x == key}
 
 
 def test_runs_leave_no_reference_cycles(topo_2_3_4):
