@@ -23,7 +23,7 @@ from . import algorithms, engine, oracle
 from .node import Mode
 from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        level_sizes, node_count, required_height)
-from .tracefile import Recorder, parse_trace, split_trace, tree_from_events
+from .tracefile import Recorder, parse_trace, replay_text, tree_from_events
 
 __all__ = ["main", "parse_input"]
 
@@ -238,7 +238,7 @@ def _replay(meta: dict, events: list[dict]) -> list[str]:
     """Rebuild a segment's cycle-0 tree, rerun it, and return its event lines."""
     tree = tree_from_events(meta, events)
     out: list[str] = []
-    tree.run(tree.mode, phase1_only=meta.get("phase1_only", False),
+    tree.run(tree.mode, phase1_only=tree.phase1_only,
              on_step=Recorder(lambda text: out.extend(text.splitlines())))
     return out[1:]  # after the header
 
@@ -246,26 +246,20 @@ def _replay(meta: dict, events: list[dict]) -> list[str]:
 def _run_trace_verify(args: argparse.Namespace) -> int:
     """Replay each trace segment from its cycle-0 snapshot and compare.
 
-    Lines are compared as text first, parsing only the headers and the
-    leading cycle-0 lines the rebuild reads.  On any difference or error the
-    file is parsed and compared record by record, so a reformatted but equal
-    file still matches, and errors and divergences are reported from there.
+    A file that is exactly the text the replay writes matches as a run
+    plus a string comparison (``replay_text``).  On any difference or error
+    its lines are parsed and compared record by record, so a reformatted
+    but equal file still matches, and errors and divergences are reported
+    from there.
     """
+    with open(args.trace_file, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(args.trace_file, "r", encoding="utf-8") as fh:
-            segments = split_trace(fh)
-        matches = bool(segments)
-        for meta, lines in segments:
-            n = node_count(meta["eta"], meta["height"])  # one cycle-0 line per node
-            initial = [json.loads(s) for s in lines[:n]]
-            if _replay(meta, initial) != lines:
-                matches = False
-                break
+        n_segments, total = replay_text(text)
     except Exception:  # the parsed comparison below raises or reports it again
-        matches = False
-    if not matches:
-        with open(args.trace_file, "r", encoding="utf-8") as fh:
-            segments = parse_trace(fh)
+        n_segments = 0
+    if not n_segments:
+        segments = parse_trace(text.split("\n"))
         if not segments:
             raise InputError(f"{args.trace_file}: no trace segments found")
         for seg_idx, (meta, events) in enumerate(segments):
@@ -282,8 +276,8 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
                     print(f"  recorded {len(events)} events, replay produced "
                           f"{len(replayed)}")
                 return EXIT_DIVERGENCE
-    total = sum(len(events) for _, events in segments)
-    print(f"trace: {len(segments)} segment(s), {total} events, replay matches")
+        n_segments, total = len(segments), sum(len(events) for _, events in segments)
+    print(f"trace: {n_segments} segment(s), {total} events, replay matches")
     return EXIT_OK
 
 

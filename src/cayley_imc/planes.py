@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import and_, attrgetter, itemgetter, rshift
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .engine import Configuration, ProtocolError, _budget_exhausted, default_cycle_budget
 from .node import Mode, make_node
@@ -264,12 +264,6 @@ class LoadedTree:
         d, p = self.topo.locate(node)
         plane = getattr(self.levels[d], name)
         return 0 if plane is None else (plane >> p) & 1
-
-    def disable(self, nodes: Iterable[int]) -> None:
-        """Set ``perm_disabled`` on ``nodes``; the next ``rearm`` applies it."""
-        for i in nodes:
-            d, p = self.topo.locate(i)
-            self.levels[d].perm |= 1 << p
 
     def run(self, mode: Mode, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:

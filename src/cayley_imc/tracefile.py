@@ -1,27 +1,33 @@
-"""Trace files: the segment header, the recorder, parsing, and rebuilding
-for replay.
+"""Trace files: the segment header, the recorder, and replay, as text or
+parsed.
 
 A trace file is a stream of one-line JSON ``TraceEvent``s.  Each run
 segment is preceded by a '#'-prefixed header recording the run parameters,
 which event consumers skip and the replayer uses to rebuild the cycle-0
-tree.  Trace files come from outside the program, so the rebuild checks
-every field it reads.
+tree.  Trace files come from outside the program, so the parsed rebuild
+checks every field it reads; replay as text needs no check of its own.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import repeat, takewhile
 from typing import Callable, Iterable
 
 from .node import Mode
 from .planes import LoadedTree, _unpack
-from .topology import TreeParams, build_topology, node_count
+from .topology import CayleyTopology, TreeParams, build_topology, node_count
 
-__all__ = ["trace_header", "Recorder", "split_trace", "parse_trace", "tree_from_events"]
+__all__ = ["trace_header", "Recorder", "replay_text", "parse_trace", "tree_from_events"]
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 _UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
+# A segment's cycle-0 lines, and the two fields of each a rebuild reads, as
+# the recorder writes them; compiled on first use (``re`` caches them).
+_CYCLE0_LINES = r'(?:\{"cycle":0,[^\n]*\n)*'
+_CYCLE0_FIELDS = (r'"word":([0-9]+),"state":[01],"start":[01],"match":[01],"l_m":[01],'
+                  r'"l_children":\[[01,]*\],"perm_disabled":([01]),')
 
 
 def trace_header(tree) -> str:
@@ -39,7 +45,8 @@ class Recorder:
     one bit down, in search only (the root while its clock was at most w,
     others while it is at most w + 1), or else its ``state`` plane up.  A
     level's lines are rebuilt only when its planes changed, and its word
-    strings only when its rotation did."""
+    strings only when its rotation did, from its cycle-0 words rotated: only
+    the root's words, which a tournament writes, are unpacked again."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
@@ -49,11 +56,12 @@ class Recorder:
         head = text = f'{{"cycle":{tree.cycle}'
         if not tree.cycle:
             layout, role = tree.topo.layout(), tree.topo.role
-            self.idents = [[f',"node":{i},"depth":{d},"role":"{role(d).value}","word":'
-                            for i in ids] for d, ids in enumerate(layout)]
+            where = [f',"depth":{d},"role":"{role(d).value}","word":' for d in range(len(layout))]
+            self.idents = [[f',"node":{i}{where[d]}' for i in ids] for d, ids in enumerate(layout)]
             self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in layout]
             self.clocks, self.keys = [0] * len(levels), [None] * len(levels)
             self.tails, self.words = [""] * tree.topo.n, [(None, None)] * len(levels)
+            self.base = [_unpack(lv.words, lv.n) for lv in levels]  # rot is 0 at cycle 0
             text = trace_header(tree) + "\n" + head
         for d, (lv, first) in enumerate(zip(levels, tree.topo.offsets)):
             n, k, prev = lv.n, lv.k, self.clocks[d]
@@ -76,7 +84,10 @@ class Recorder:
             ports = ",".join([f'"c{s}":{down}' for s in range(k)]) if down in (0, 1) else ""
             emitted = map(_UP.__getitem__, state) if down == 2 else repeat("{" + ports + "}")
             if self.words[d][0] != lv.rot:  # a root write also turns rot
-                self.words[d] = lv.rot, list(map(str, _unpack(lv.aligned(w), n)))
+                r, mask = lv.rot, (1 << w) - 1
+                words = ([(v << r | v >> w - r) & mask for v in self.base[d]] if d
+                         else _unpack(lv.aligned(w), n))
+                self.words[d] = r, list(map(str, words))
             words = self.words[d][1]
             mid = f',"start":{lv.start},"match":'
             tails = [f'{ident}{v},"state":{s}{mid}{m},"l_m":{lm},"l_children":{lc},'
@@ -87,44 +98,53 @@ class Recorder:
         self.write(text + ("\n" + head).join(self.tails) + "\n")
 
 
-def split_trace(lines: Iterable[str], parse_event=str) -> list[tuple[dict, list]]:
-    """Split a trace stream into (header meta, events) segments.
+def replay_text(text: str) -> tuple[int, int]:
+    """Replay each segment of a trace file's ``text``, comparing every chunk
+    the recorder writes with the text where it stands; return the numbers
+    of segments and events, or raise ValueError at the first difference.
+    Only headers are parsed: the replay writes them and every cycle-0 line
+    itself, so a match needs no field check."""
+    pos = segments = events = 0
 
-    The lines are stripped in one pass; only blank, comment and header
-    lines are then handled one by one, and the event lines between them
-    are taken as slices.  Each stripped event line goes through
-    ``parse_event``: kept as text by default, so a caller can compare lines
-    without parsing them.
-    """
-    lines = list(map(str.strip, lines))
-    marks = [i for i, line in enumerate(lines) if not line or line[0] == "#"]
+    def compare(chunk: str) -> None:
+        nonlocal pos
+        if not text.startswith(chunk, pos):
+            raise ValueError("trace text differs from its replay")
+        pos += len(chunk)
+
+    while pos < len(text) or not segments:  # each segment's first chunk starts with its header
+        start = text.index("\n", pos) + 1
+        meta = json.loads(text[pos + len(_HEADER_PREFIX):start - 1])
+        end = re.compile(_CYCLE0_LINES).match(text, start).end()
+        fields = re.compile(_CYCLE0_FIELDS).findall(text, start, end)
+        topo, mode, phase1_only = _segment(meta, len(fields))
+        words, perm = zip(*fields)
+        tree = LoadedTree.load(topo, mode, int(words[0]), list(map(int, words[1:])), 0,
+                               bytes(map(int, perm)))
+        cycles = tree.run(mode, phase1_only=phase1_only, on_step=Recorder(compare))
+        segments, events = segments + 1, events + topo.n * (cycles + 1)  # n lines per cycle
+    return segments, events
+
+
+def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
+    """Split a trace stream into (header meta, event dict) segments, each
+    line stripped; blank lines and other '#' lines are skipped."""
     segments: list[tuple[dict, list]] = []
-    lineno = start = 0
+    lineno = 0
     try:
-        for mark in marks + [len(lines)]:
-            if start < mark:  # event lines start + 1 .. mark
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line.startswith(_HEADER_PREFIX):
+                segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
+            elif line and line[0] != "#":
                 if not segments:
-                    raise ValueError(f"trace line {start + 1}: event before any segment header")
-                events = segments[-1][1]
-                if parse_event is str:
-                    events += lines[start:mark]
-                else:
-                    for lineno in range(start + 1, mark + 1):
-                        events.append(parse_event(lines[lineno - 1]))
-            lineno = start = mark + 1
-            if mark < len(lines) and lines[mark].startswith(_HEADER_PREFIX):
-                segments.append((json.loads(lines[mark][len(_HEADER_PREFIX):]), []))
+                    raise ValueError(f"trace line {lineno}: event before any segment header")
+                segments[-1][1].append(json.loads(line))
     except json.JSONDecodeError as exc:
         raise ValueError(f"trace line {lineno}: {exc}") from None
     except RecursionError:
         # json raises this, not a ValueError, on deeply nested arrays.
         raise ValueError(f"trace line {lineno}: JSON nested too deeply") from None
     return segments
-
-
-def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
-    """Split a trace stream into (header meta, event dict) segments."""
-    return split_trace(lines, json.loads)
 
 
 _FLAG_FIELDS = ("state", "start", "match", "l_m", "perm_disabled")
@@ -137,15 +157,11 @@ def _int_field(record: dict, name: str, where: str) -> int:
     return value
 
 
-def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
-    """Rebuild a segment's tree from its cycle-0 events, loaded in the
-    segment mode's reset state; its run applies the header's ``phase1_only``.
-
-    Checks the header and the leading cycle-0 events, the only ones the
-    rebuild reads, and raises ValueError on the first bad field, or on an
-    event that is not the mode's reset state.  Later events are left to
-    the replay comparison.
-    """
+def _segment(meta, cycle0: int) -> tuple[CayleyTopology, Mode, bool]:
+    """The topology, mode and ``phase1_only`` of a segment with ``cycle0``
+    leading cycle-0 lines; raises ValueError on the first bad header field,
+    or unless there is one line per node.  The lines are counted before
+    anything is built, so a header naming a huge tree allocates nothing."""
     if not isinstance(meta, dict):
         raise ValueError("trace header is not a JSON object")
     for name in ("eta", "height", "word_size"):
@@ -158,18 +174,27 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
     if type(phase1_only) is not bool:
         raise ValueError(
             f"trace header: field 'phase1_only' must be true or false, got {phase1_only!r}")
+    n = node_count(meta["eta"], meta["height"])
+    if cycle0 != n:
+        raise ValueError(f"trace segment has {cycle0} cycle-0 events, topology needs {n}")
+    topo = build_topology(TreeParams(meta["eta"], meta["height"], meta["word_size"]))
+    return topo, Mode(meta["mode"]), phase1_only
 
+
+def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
+    """Rebuild a segment's tree from its cycle-0 events, loaded in the
+    segment mode's reset state and carrying the header's ``phase1_only``
+    for its run.
+
+    Checks the header and the leading cycle-0 events, the only ones the
+    rebuild reads, and raises ValueError on the first bad field, or on an
+    event that is not the mode's reset state.  Later events are left to
+    the replay comparison.
+    """
     initial = list(takewhile(
         lambda e: isinstance(e, dict) and e.get("cycle") == 0, events))
-    # Count before building, so a header naming a huge tree allocates nothing.
-    n = node_count(meta["eta"], meta["height"])
-    if len(initial) != n:
-        raise ValueError(
-            f"trace segment has {len(initial)} cycle-0 events, topology needs {n}"
-        )
-    topo = build_topology(TreeParams(meta["eta"], meta["height"], meta["word_size"]))
-    w, last = topo.params.word_size, topo.params.height - 1
-    mode = Mode(meta["mode"])
+    topo, mode, phase1_only = _segment(meta, len(initial))
+    n, w, last = topo.n, topo.params.word_size, topo.params.height - 1
     words: list[int | None] = [None] * n
     perm = bytearray(n)
     for e in initial:
@@ -198,4 +223,6 @@ def tree_from_events(meta: dict, events: list[dict]) -> LoadedTree:
             raise ValueError(f"{where}: not the {mode.value} reset state of a "
                              f"{topo.role(d).value} with perm_disabled {p}")
         words[i], perm[i] = word, p
-    return LoadedTree.load(topo, mode, words[0], words[1:], 0, perm)
+    tree = LoadedTree.load(topo, mode, words[0], words[1:], 0, perm)
+    tree.phase1_only = phase1_only
+    return tree

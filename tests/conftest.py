@@ -66,6 +66,14 @@ def random_elements(rng: random.Random, n_slots: int, word_size: int,
     return [rng.randrange(limit) for _ in range(m)]
 
 
+def disable(tree, nodes) -> None:
+    """Set ``perm_disabled`` on ``nodes`` of the LoadedTree ``tree``; its next
+    run applies it."""
+    for i in nodes:
+        d, p = tree.topo.locate(i)
+        tree.levels[d].perm |= 1 << p
+
+
 def full_state(cfg) -> tuple:
     """Every field of every NodeState, inbox included, plus the run header."""
     rows = []

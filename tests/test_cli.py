@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cayley_imc import cli, planes
+from cayley_imc import cli, planes, tracefile
 from cayley_imc.cli import InputError, main, parse_input
 from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology
 
@@ -406,6 +406,23 @@ class TestTrace:
             lines[2] = json.dumps(event)
         path.write_text("\n".join(lines) + "\n")
         self._rejected(capsys, path, needle)
+
+    def test_a_huge_header_is_refused_before_anything_is_built(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # One cycle-0 line per node is counted first, so what a header makes
+        # the replay allocate is bounded by the file.
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "max", "--list", "1,2,3", "--word-size", "4",
+                "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        header = '# cayley-imc-trace {"eta":1,"height":1000000,"word_size":4,"mode":"max"}'
+        path.write_text("\n".join([header] + lines[1:3]) + "\n")
+
+        def refuse(*args):
+            raise AssertionError("a topology was built")
+
+        monkeypatch.setattr(tracefile, "build_topology", refuse)
+        self._rejected(capsys, path, "trace segment has 2 cycle-0 events, topology needs 1999999")
 
     def test_search_cycle0_match_0_on_an_enabled_node_rejected(self, capsys, tmp_path):
         # A search run arms match on every node not permanently disabled.

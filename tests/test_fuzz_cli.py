@@ -1,7 +1,7 @@
 """Hypothesis fuzz of the CLI: every input ends in exit 0, 1 or 2.
 
 Exit 1 must come with exactly one line on stderr and no traceback, and
-trace replay's text-first comparison must print what the parsed comparison
+trace replay's whole-text comparison must print what the parsed comparison
 prints.  Output is captured with ``contextlib`` redirects and files live in
 a ``tempfile`` directory, because the function-scoped ``capsys`` and
 ``tmp_path`` fixtures are not reset between Hypothesis examples.
@@ -13,12 +13,13 @@ import io
 import json
 import os
 import tempfile
+from itertools import takewhile
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_imc import cli
+from cayley_imc import cli, tracefile
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 
@@ -85,13 +86,15 @@ def test_scheme_and_info_commands_exit_cleanly(argv):
 _TRACE_RUNS = {
     "search": ("search", "--list", "5,2,7", "--key", "2", "--word-size", "3"),
     "max": ("max", "--list", "14,9,5,14,7,11,10,10", "--word-size", "4"),
+    # Two rounds: four segments.
+    "sort": ("sort", "--list", "3,1,3", "--word-size", "2"),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _recorded_trace(kind: str = "search") -> tuple[str, ...]:
-    """The trace lines of a 4-node search or a 10-node max, written by the
-    CLI itself."""
+    """The trace lines of a 4-node search, a 10-node max or a 4-node sort,
+    written by the CLI itself."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{kind}.trace")
         status, _, _ = _main(*_TRACE_RUNS[kind], "--trace-out", path)
@@ -155,20 +158,26 @@ def _refuse(*args, **kwargs):
 
 
 def _replay_parsed_only(content: bytes):
-    """Replay with the text-first comparison switched off."""
-    with mock.patch.object(cli, "split_trace", _refuse):
+    """Replay with the whole-text comparison switched off."""
+    with mock.patch.object(cli, "replay_text", _refuse):
         return _replay(content)
 
 
-_LINE_EDITS = ("value", "spaced", "shuffled", "delete", "duplicate", "corrupt")
+_LINE_EDITS = ("value", "spaced", "shuffled", "delete", "duplicate", "corrupt", "trailing",
+               "blank", "comment", "swapped", "header_key", "truncated")
+# Edits after which the file still matches its replay.
+_EQUAL_EDITS = ("spaced", "shuffled", "trailing", "blank", "comment", "header_key")
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=250)
 @given(st.sampled_from(sorted(_TRACE_RUNS)), st.sampled_from(_LINE_EDITS), st.data())
 def test_text_first_replay_reports_what_the_parsed_comparison_reports(kind, edit, data):
     lines = list(_recorded_trace(kind))
-    i = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the header
-    record = json.loads(lines[i])
+    headers = [j for j, line in enumerate(lines) if line.startswith(_HEADER_PREFIX)]
+    i = data.draw(st.sampled_from(sorted(set(range(len(lines))) - set(headers))))
+    seg = data.draw(st.sampled_from(headers))  # a segment's header line
+    if edit in ("value", "spaced", "shuffled"):
+        record = json.loads(lines[i])
     if edit == "value":
         name = data.draw(st.sampled_from(sorted(record)))
         record[name] = data.draw(st.integers(0, 3) | _JSON)
@@ -182,21 +191,51 @@ def test_text_first_replay_reports_what_the_parsed_comparison_reports(kind, edit
         del lines[i]
     elif edit == "duplicate":
         lines.insert(i, lines[i])
-    else:
+    elif edit == "corrupt":
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    elif edit == "trailing":
+        lines[i] += "  "
+    elif edit == "blank":
+        lines.insert(i, "")
+    elif edit == "comment":
+        lines.insert(i, "# a note")
+    elif edit == "swapped":  # two of a segment's cycle-0 lines
+        cycle0 = list(takewhile(lambda j: lines[j].startswith('{"cycle":0,'),
+                                range(seg + 1, len(lines))))
+        a, b = data.draw(st.permutations(cycle0))[:2]
+        lines[a], lines[b] = lines[b], lines[a]
+    elif edit == "header_key":
+        lines[seg] = lines[seg][:-1] + ',"note":1}'
+    else:  # a later segment, where there is one, cut short
+        seg = data.draw(st.sampled_from(headers[1:] or headers))
+        end = next((j for j in headers if j > seg), len(lines))
+        del lines[data.draw(st.integers(seg + 1, end - 1)):end]
     content = "\n".join(lines).encode() + b"\n"
     result = _replay(content)
     assert result == _replay_parsed_only(content)
-    if edit in ("spaced", "shuffled"):
+    if edit in _EQUAL_EDITS:
         assert result[0] == 0, result
+    if edit in ("swapped", "truncated"):
+        assert result[0] != 0, result
 
 
 @pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
 def test_unchanged_trace_is_matched_as_text(kind):
-    content = "\n".join(_recorded_trace(kind)).encode() + b"\n"
-    with mock.patch.object(cli, "parse_trace", _refuse):
+    lines = _recorded_trace(kind)
+    content = "\n".join(lines).encode() + b"\n"
+    parsed, loads = [], json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    # tracefile and cli both call the json module's loads.
+    assert tracefile.json is cli.json is json
+    with mock.patch.object(cli, "parse_trace", _refuse), mock.patch.object(json, "loads", spy):
         status, out, err = _replay(content)
     assert (status, err) == (0, "") and out.endswith(" replay matches\n"), (out, err)
+    assert parsed == [line[len(_HEADER_PREFIX):] for line in lines
+                      if line.startswith(_HEADER_PREFIX)]
 
 
 @pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
@@ -209,5 +248,6 @@ def test_reformatted_equal_trace_still_matches(kind):
                   "# a comment" if k % 2 else ""]
     status, out, err = _replay("\r\n".join(lines).encode() + b"\r\n")
     events = sum(1 for line in _recorded_trace(kind) if line[0] == "{")
+    segments = len(_recorded_trace(kind)) - events
     assert (status, out, err) == (
-        0, f"trace: 1 segment(s), {events} events, replay matches\n", "")
+        0, f"trace: {segments} segment(s), {events} events, replay matches\n", "")

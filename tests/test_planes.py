@@ -33,7 +33,7 @@ from cayley_imc.oracle import oracle_search, oracle_sort_desc
 from cayley_imc.planes import LoadedTree, _schedule
 from cayley_imc.tracefile import Recorder, trace_header
 
-from conftest import (cached_topology, full_state, object_extremum, object_search,
+from conftest import (cached_topology, disable, full_state, object_extremum, object_search,
                       random_elements)
 
 # The seeds of the acceptance fuzz tests.
@@ -109,7 +109,7 @@ def _disable_some(rng, topo, obj, tree):
     ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
     for i in ids:
         obj.nodes[i].flags.perm_disabled = 1
-    tree.disable(ids)
+    disable(tree, ids)
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
@@ -143,7 +143,7 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
         # As in sort(): padding slots sit out every round.
         for i in range(len(els) + 1, topo.n):
             obj.nodes[i].flags.perm_disabled = 1
-        tree.disable(range(len(els) + 1, topo.n))
+        disable(tree, range(len(els) + 1, topo.n))
         live = set(range(1, len(els) + 1))
         output = []
         while live:
@@ -155,7 +155,7 @@ def test_every_sort_round_matches_the_object_engine(eta, h, w):
             for i in matched:
                 obj.nodes[i].flags.perm_disabled = 1
                 live.remove(i)
-            tree.disable(matched)
+            disable(tree, matched)
             output += [value] * len(matched)
         expected = oracle_sort_desc(els)
         assert output == (expected if mode is Mode.MAX else expected[::-1])
@@ -382,7 +382,7 @@ def test_derived_control_equals_the_observed_control(eta, h, w):
             pair = [load_list(topo, els, mode) for _ in range(2)]
             ids = [i for i in range(1, topo.n) if rng.random() < 0.2]
             for tree in pair:
-                tree.disable(ids)
+                disable(tree, ids)
             for stop in (None, cut, None):
                 quiet, watched = _unobserved_and_observed(pair, mode, stop)
                 assert quiet == watched, (mode, stop)

@@ -8,7 +8,7 @@ from cayley_imc.algorithms import compute_max, compute_min, load_list, search
 from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_extremum, oracle_search
 
-from conftest import cached_topology, full_state, object_extremum, object_search
+from conftest import cached_topology, disable, full_state, object_extremum, object_search
 
 SHAPES = [(1, 3, 4), (2, 2, 4), (2, 3, 4), (2, 4, 8), (3, 3, 8)]
 
@@ -62,7 +62,7 @@ class ReusedTree(RuleBasedStateMachine):
     @rule(data=st.data())
     def disable(self, data):
         i = data.draw(st.integers(1, self.topo.n - 1))
-        self.tree.disable([i])
+        disable(self.tree, [i])
         self.twin.nodes[i].flags.perm_disabled = 1
 
     @invariant()
