@@ -18,16 +18,8 @@ from .algorithms import (
     search,
     sort,
 )
-from .engine import (
-    Configuration,
-    ProtocolError,
-    QuiescenceError,
-    TraceEvent,
-    run_until_quiescent,
-    snapshot,
-    step,
-)
-from .node import Mode, NodeFlags, NodeState
+from .engine import ProtocolError, QuiescenceError
+from .node import Mode
 from .topology import (
     CayleyTopology,
     Role,
@@ -39,18 +31,14 @@ from .topology import (
 
 __all__ = [
     "CayleyTopology",
-    "Configuration",
     "ExtremumResult",
     "LoadedTree",
     "Mode",
-    "NodeFlags",
-    "NodeState",
     "ProtocolError",
     "QuiescenceError",
     "Role",
     "SearchResult",
     "SortResult",
-    "TraceEvent",
     "TreeParams",
     "build_topology",
     "compute_max",
@@ -59,11 +47,8 @@ __all__ = [
     "node_count",
     "required_height",
     "resource_report",
-    "run_until_quiescent",
     "search",
-    "snapshot",
     "sort",
-    "step",
 ]
 
 __version__ = "0.1.0"

@@ -122,7 +122,7 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
             compress(ids, _bits(lv.phase1_match, lv.n))
             for lv, ids in zip(tree.levels, tree.topo.layout()) if lv.phase1_match)
         matched = frozenset(filter(tree.occupied.__contains__, hits))
-    return SearchResult(found=tree.bit("state", 0), cycles=cycles,
+    return SearchResult(found=tree.levels[0].state, cycles=cycles,
                         matched_nodes=matched)
 
 

@@ -246,11 +246,11 @@ def _replay(meta: dict, events: list[dict]) -> list[str]:
 def _run_trace_verify(args: argparse.Namespace) -> int:
     """Replay each trace segment from its cycle-0 snapshot and compare.
 
-    A file that is exactly the text the replay writes matches as a run
-    plus a string comparison (``replay_text``).  On any difference or error
-    its lines are parsed and compared record by record, so a reformatted
-    but equal file still matches, and errors and divergences are reported
-    from there.
+    A file that is the text the replay writes, blank lines and comments
+    aside, matches as a run plus a string comparison (``replay_text``).
+    On any other difference or error its lines are parsed and compared
+    record by record, so a reformatted but equal file still matches, and
+    errors and divergences are reported from there.
     """
     with open(args.trace_file, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -284,9 +284,12 @@ def _run_trace_verify(args: argparse.Namespace) -> int:
 def _run_bench(args: argparse.Namespace) -> int:
     """Cycle counts for the tree sort next to the classic sorters."""
     rng = random.Random(args.seed if args.seed is not None else 0)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    for size in sizes:
-        check_nodes(size + 1, f"--sizes entry {size}")
+    sizes: list[int] = []
+    for entry in filter(None, map(str.strip, args.sizes.split(","))):
+        if not (entry.isascii() and entry.isdigit()):
+            raise InputError(f"--sizes entry {entry!r} is not a non-negative integer")
+        sizes.append(int(entry))
+        check_nodes(sizes[-1] + 1, f"--sizes entry {entry}")
     limit = 1 << args.word_size
     rows = []
     for size in sizes:

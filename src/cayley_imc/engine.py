@@ -145,9 +145,6 @@ def step(cfg: Configuration, *, capture: bool = False,
 
     emitted: list[dict[str, int]] | None = [{} for _ in nodes] if capture else None
     send = send_search if mode is Mode.SEARCH else send_max
-    parent_of = topo.parent_of
-    parent_slot = topo.parent_slot
-    children_of = topo.children_of
     for i in ids:
         n = nodes[i]
         _, em = send(n, topo)
@@ -155,16 +152,17 @@ def step(cfg: Configuration, *, capture: bool = False,
             continue
         if em.to_children is not None:
             bit = em.to_children
-            for c in children_of[i]:
+            kids = topo.children(i)
+            for c in kids:
                 nodes[c].inbox.parent = bit
             if emitted is not None:
                 rec = emitted[i]
-                for k, c in enumerate(children_of[i]):
+                for k in range(len(kids)):
                     rec[f"c{k}"] = bit
         if em.to_parent is not None:
-            p = parent_of[i]
+            p, slot = topo.parent(i)
             if p >= 0:
-                nodes[p].inbox.put_child(parent_slot[i], em.to_parent)
+                nodes[p].inbox.put_child(slot, em.to_parent)
                 if emitted is not None:
                     emitted[i]["parent"] = em.to_parent
     cfg.global_cycle += 1
@@ -185,11 +183,11 @@ def _quiescent(cfg: Configuration) -> bool:
         h = topo.params.height
         root = nodes[0]
         return root.local_clock > w and root.listen_steps >= 2 * h - 1
-    # Max/min: the root has assembled all w result bits and every leaf has
-    # streamed out its whole word.
+    # Max/min: the root has assembled all w result bits and every leaf (the
+    # last level; a lone root never writes) has streamed out its whole word.
     if nodes[0].writes < w:
         return False
-    return all(nodes[i].local_clock >= w + 1 for i in topo.leaves)
+    return all(n.local_clock >= w + 1 for n in nodes[topo.offsets[-2]:])
 
 
 def _validate_quiescent(cfg: Configuration) -> None:

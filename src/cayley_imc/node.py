@@ -162,13 +162,14 @@ class NodeState:
 
 
 def make_node(topo: CayleyTopology, node_id: int, word: int) -> NodeState:
+    d = topo.depth(node_id)
     return NodeState(
         node_id,
-        topo.role_of[node_id],
-        topo.depth_of[node_id],
+        topo.role(d),
+        d,
         topo.params.word_size,
         word,
-        len(topo.children_of[node_id]),
+        topo.fanout(d),
     )
 
 

@@ -6,7 +6,7 @@ reset state their control state (clock, ``start``, counters, which inbox
 ports are latched) is therefore the same for every node of the level at
 every cycle; only data bits differ from node to node.  Each level keeps its
 control state as scalars and every per-node bit (a flag, one word bit, a
-latched child bit) as one Python int, bit ``p`` belonging to the node at
+child link) as one Python int, bit ``p`` belonging to the node at
 position ``p``.
 
 Positions are slot-major: a node's position is its slot times the size of
@@ -15,11 +15,11 @@ at position ``q`` of a level of size ``N`` then sit at ``q, q + N, q + 2N,
 ...`` of the next level, so combining child bits at their parents is one
 shift-and-OR per slot, and broadcasting a parent bit to its children is one
 multiplication.  Word rotation is a change of plane index.  The word and
-``perm_disabled`` planes last from run to run, so a loaded tree needs no
-node objects; ``LoadedTree.configuration`` builds them as a copy.  Nor
-does it keep a per-node table: positions are arithmetic on the ids (see
-``CayleyTopology.locate``), and ``load`` packs each level from its slice
-of the list with a few C-level passes (``_gather`` and ``_pack``).
+``perm_disabled`` planes last from run to run, so a loaded tree is its
+planes and nothing else: no node objects and no per-node table.
+Positions are arithmetic on the ids (see ``CayleyTopology.locate``), and
+``load`` packs each level from its slice of the list with a few C-level
+passes (``_gather`` and ``_pack``).
 
 The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
@@ -27,24 +27,25 @@ shape, each cycle's data operations as a few ranges of depths, and its
 length is the cycle count.  ``LoadedTree.run`` is the one run loop, for
 observed, unobserved and replayed runs alike: it applies only those
 operations to the planes, so a run is its schedule.  The control values
-are derived from (mode, ``phase1_only``, cycle) when something reads them:
-before each call of an observer, and in ``configuration``.
+an observer reads (each level's clock, ``start`` and rotation) are derived
+from (mode, ``phase1_only``, cycle) before each of its calls.
 
 The operations mirror the transition functions of ``node.py``, leaving out
-only relay cycles of the leaves that change nothing; the tests compare
-every ``NodeState`` field after every cycle against the object engine,
-which stays the executable specification.
+only relay cycles of the leaves that change nothing.  The object engine
+(``engine.step`` over those functions) stays the executable specification:
+after every cycle the tests pack its nodes into planes, level by level,
+and compare them with the tree's.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, attrgetter, itemgetter, rshift
+from operator import and_, itemgetter, rshift
 from typing import Callable, Sequence
 
-from .engine import Configuration, ProtocolError, _budget_exhausted, default_cycle_budget
-from .node import Mode, make_node
+from .engine import ProtocolError, _budget_exhausted, default_cycle_budget
+from .node import Mode
 from .topology import CayleyTopology
 
 __all__ = ["LoadedTree"]
@@ -94,21 +95,12 @@ def _bits(plane: int, n: int) -> bytes:
     return format(plane, f"0{n}b").encode().translate(_BITS)[::-1]
 
 
-def _per_node(plane: int | None, n: int, k: int):
-    """Per node of an ``n``-node level, its ``k`` bits of a child-level
-    plane; ``None`` stands for ``k`` silent ports."""
-    if plane is None or k == 0:
-        return repeat((None,) * k)
-    bits = _bits(plane, n * k)
-    return zip(*[bits[s * n:(s + 1) * n] for s in range(k)])
-
-
 # The data operations of a cycle, each over a range of depths.  Search: the
 # root sends the initiate or a key bit, or reads the relay; a level takes the
-# initiate or a key bit; a relaying level keeps its phase-1 match on its
-# first relay cycle and passes its match up with (RELAY) or without (FIRST,
-# DRAIN) a latched child plane.  Max/min: a level takes the initiate or a
-# child plane (COMBINE), and the leaves send their next bit.
+# initiate or a key bit; a relaying level passes its match up and keeps it as
+# its phase-1 match on its first relay cycle (FIRST), then sends 0 (DRAIN),
+# then its latched child plane (RELAY).  Max/min: a level takes the initiate
+# or a child plane (COMBINE), and the leaves send their next bit.
 _SEND, _LISTEN, _INITIATE, _KEY, _FIRST, _DRAIN, _RELAY, _COMBINE, _LEAF = range(9)
 
 
@@ -163,8 +155,7 @@ class _Level:
     """
 
     __slots__ = ("n", "mask", "k", "shifts", "spread", "words", "perm", "rot", "state",
-                 "start", "match", "link_mem", "links", "phase1_match", "clock", "listen",
-                 "in_parent", "in_children")
+                 "start", "match", "link_mem", "links", "phase1_match", "clock")
 
     def __init__(self, words: list[int], perm: int, n: int, k: int) -> None:
         self.n, self.k, self.words, self.perm = n, k, words, perm
@@ -174,7 +165,7 @@ class _Level:
         # ``spread`` broadcasts a plane to all k slots.
         self.shifts = range(n, k * n, n)
         self.spread = sum(1 << s for s in range(0, k * n, n))
-        self.rot = self.listen = 0  # only the root's listen count moves
+        self.rot = 0
 
     def aligned(self, w: int) -> list[int]:
         """The word planes rotated so plane j holds bit j of the words as
@@ -187,8 +178,7 @@ class LoadedTree:
     """One input list in a tree, ready to run: its words and flags as bit
     planes, and the scheme runs on them.
 
-    ``load`` is the only constructor.  ``configuration`` copies the state
-    into node objects.
+    ``load`` is the only constructor.
     """
 
     @classmethod
@@ -223,12 +213,11 @@ class LoadedTree:
         return tree
 
     def rearm(self, mode: Mode, *, phase1_only: bool = False) -> None:
-        """Apply ``reset_flags`` for ``mode`` to the planes a run or ``bit``
-        reads; the words keep their value, and ``link_mem`` comes up from
-        ``perm``.  The control values are derived when read."""
+        """Apply ``reset_flags`` for ``mode`` to the planes a run reads; the
+        words keep their value, and ``link_mem`` comes up from ``perm``."""
         if mode is Mode.IDLE:
             raise ValueError("cannot reset a node into idle mode")
-        self.mode, self.phase1_only, self.cycle, self._derived = mode, phase1_only, 0, False
+        self.mode, self.phase1_only = mode, phase1_only
         levels, w, search = self.levels, self.w, mode is Mode.SEARCH
         for lv in levels:
             # A tournament whose observer raised part way leaves its words part
@@ -258,12 +247,6 @@ class LoadedTree:
     def root_word(self, word: int) -> None:
         root, w = self.levels[0], self.w
         root.words, root.rot = [(word >> (w - 1 - j)) & 1 for j in range(w)], 0
-
-    def bit(self, name: str, node: int) -> int:
-        """Node ``node``'s ``state``, ``match`` or ``phase1_match`` bit (0 if unset)."""
-        d, p = self.topo.locate(node)
-        plane = getattr(self.levels[d], name)
-        return 0 if plane is None else (plane >> p) & 1
 
     def run(self, mode: Mode, *, phase1_only: bool = False,
             on_step: Callable[[LoadedTree], object] | None = None) -> int:
@@ -308,7 +291,7 @@ class LoadedTree:
                             x = s
                             for shift in lv.shifts:
                                 s |= x >> shift
-                        lv.state, lv.match = s & lv.mask | lv.match, 0
+                        lv.state = s & lv.mask  # FIRST spent the match
                 elif op == _KEY:  # key bit j reaches depth d at cycle d + j + 1
                     for d in range(lo, hi):
                         lv, j = levels[d], t - d - 1
@@ -334,7 +317,6 @@ class LoadedTree:
             if on_step is not None:
                 self._set_control(t + 1)
                 on_step(self)
-        self.cycle = len(cycles)
         if mode is Mode.SEARCH and not phase1_only:
             for d, lv in enumerate(levels):
                 if d and lv.state | lv.match:  # ids grow with depth: the lowest is here
@@ -343,62 +325,21 @@ class LoadedTree:
                     raise ProtocolError(
                         f"search quiescence reached but node {i} has not drained "
                         f"(state={lv.state >> p & 1}, match={lv.match >> p & 1})")
-        return self.cycle
+        return len(cycles)
 
     def _set_control(self, cycle: int) -> None:
-        """Derive every level's control values after ``cycle`` cycles of the
-        run from its local time (see ``_schedule``); a latched bit or plane
-        is read off its sender."""
-        self.cycle, self._derived, levels, w = cycle, True, self.levels, self.w
+        """Derive every level's clock, ``start`` and rotation after ``cycle``
+        cycles of the run from its local time (see ``_schedule``)."""
+        self.cycle, levels, w = cycle, self.levels, self.w
         last, search = len(levels) - 1, self.mode is Mode.SEARCH
-        phase2, key = search and not self.phase1_only, levels[0].words
+        phase2 = search and not self.phase1_only
         for d, lv in enumerate(levels):
             if search:
                 tau = cycle - d
                 lv.clock = cycle if not d else max(tau, 0) if phase2 else min(max(tau, 0), w + 1)
                 lv.start = int(tau > 0 or not d)
-                lv.in_parent = (key[tau - 1] if tau else 1) if d and 0 <= tau <= w else None
-                latched = phase2 and d < last and tau >= w + 3  # the level below relays
             else:
                 tau = cycle - last + d if last else -1  # a lone root never starts
                 taken = min(max(tau, 0), w + 1)  # the initiate, then the bits or planes
                 lv.start, lv.rot = int(taken > 0 or d == last > 0), max(taken - 1, 0)
-                lv.clock, lv.in_parent = taken if d else 0, None
-                latched = d < last and 0 <= tau <= w
-            lv.in_children = levels[d + 1].state if latched else None
-        levels[0].listen = max(cycle - w - 1, 0) if phase2 else 0
-
-    def configuration(self) -> Configuration:
-        """A new ``Configuration`` holding the tree's current state, every
-        ``NodeState`` field as the object engine would hold it.  Runs never
-        change the copy, and writes to it never reach the tree."""
-        if not self._derived:
-            self._set_control(self.cycle)
-        topo, w = self.topo, self.w
-        neutral = 1 if self.mode is Mode.MIN else 0
-        nodes = []
-        for d, (lv, ids) in enumerate(zip(self.levels, topo.layout())):
-            n, k = lv.n, lv.k
-            start, clock, listen, parent = lv.start, lv.clock, lv.listen, lv.in_parent
-            writes = 0 if d else lv.rot
-            child_count = 0 if lv.in_children is None else k
-            p1 = lv.phase1_match
-            rows = zip(ids, _unpack(lv.aligned(w), n), _bits(lv.perm, n),
-                       _bits(lv.state, n), _bits(lv.match, n), _bits(lv.link_mem, n),
-                       repeat(None) if p1 is None else _bits(p1, n),
-                       _per_node(lv.links, n, k), _per_node(lv.in_children, n, k))
-            for i, word, perm, state, match, link_mem, phase1_match, links, inbox in rows:
-                nd = make_node(topo, i, word)
-                f = nd.flags
-                f.state, f.start, f.match, f.link_mem = state, start, match, link_mem
-                f.perm_disabled = perm
-                f.link_child[:] = links
-                nd.local_clock, nd.neutral = clock, neutral
-                nd.writes, nd.listen_steps = writes, listen
-                nd.phase1_match = phase1_match
-                ib = nd.inbox
-                ib.parent, ib.child_count = parent, child_count
-                ib.children[:] = inbox
-                nodes.append(nd)
-        nodes.sort(key=attrgetter("id"))
-        return Configuration(topo, nodes, self.mode, self.cycle, self.phase1_only)
+                lv.clock = taken if d else 0

@@ -7,6 +7,9 @@ expansion 1, eta+1, (eta+1)*eta, ... so a tree of height ``h`` has its
 leaves at depth ``h - 1`` (root depth 0).  Node ids are dense integers
 assigned breadth-first, root = 0, children ordered left to right, which
 makes every construction deterministic and traces reproducible.
+
+A topology keeps only its level offsets: a node's depth, position, parent
+and children are arithmetic on its id, and no table is kept per node.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterator
 
@@ -171,37 +173,20 @@ class CayleyTopology:
         return [list(map(first.__add__, index))
                 for first, index in zip(self.offsets, self.level_orders())]
 
-    # Per-node tables by node id, built on first access: only the object
-    # engine and the tests read them.
-    @cached_property
-    def children_of(self) -> tuple[tuple[int, ...], ...]:
-        offs = self.offsets
-        return tuple(tuple(range(offs[d + 1] + b * k, offs[d + 1] + b * k + k))
-                     for d, k in enumerate(map(self.fanout, range(self.params.height)))
-                     for b in range(offs[d + 1] - offs[d]))
+    def parent(self, node: int) -> tuple[int, int]:
+        """The parent of ``node`` and the child slot it fills there; (-1, 0)
+        for the root."""
+        if not node:
+            return -1, 0
+        offs, d = self.offsets, self.depth(node)
+        index, slot = divmod(node - offs[d], self.fanout(d - 1))
+        return offs[d - 1] + index, slot
 
-    @cached_property
-    def parent_of(self) -> tuple[int, ...]:
-        """-1 for the root.  Children are numbered breadth-first, so in the
-        order of their parents."""
-        return (-1,) + tuple(i for i, kids in enumerate(self.children_of) for _ in kids)
-
-    @cached_property
-    def parent_slot(self) -> tuple[int, ...]:
-        """The inbox slot at its parent that a node's upward sends land in."""
-        return (0,) + tuple(s for kids in self.children_of for s in range(len(kids)))
-
-    @cached_property
-    def depth_of(self) -> tuple[int, ...]:
-        return tuple(d for d, (a, b) in enumerate(pairwise(self.offsets)) for _ in range(a, b))
-
-    @cached_property
-    def role_of(self) -> tuple[Role, ...]:
-        return tuple(map(self.role, self.depth_of))
-
-    @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(range(self.offsets[-2], self.n)) if self.params.height > 1 else ()
+    def children(self, node: int) -> range:
+        offs, d = self.offsets, self.depth(node)
+        k = self.fanout(d)
+        first = offs[d + 1] + (node - offs[d]) * k
+        return range(first, first + k)
 
 
 def build_topology(params: TreeParams) -> CayleyTopology:

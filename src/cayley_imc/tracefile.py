@@ -28,6 +28,9 @@ _UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
 _CYCLE0_LINES = r'(?:\{"cycle":0,[^\n]*\n)*'
 _CYCLE0_FIELDS = (r'"word":([0-9]+),"state":[01],"start":[01],"match":[01],"l_m":[01],'
                   r'"l_children":\[[01,]*\],"perm_disabled":([01]),')
+# A blank line, or a '#' line that is not a header, with the newline before
+# it: the lines ``parse_trace`` skips.
+_SKIPPED = r'\n[^\S\n]*(?:#(?!' + re.escape(_HEADER_PREFIX[1:]) + r')[^\n]*)?(?=\n)'
 
 
 def trace_header(tree) -> str:
@@ -102,8 +105,20 @@ def replay_text(text: str) -> tuple[int, int]:
     """Replay each segment of a trace file's ``text``, comparing every chunk
     the recorder writes with the text where it stands; return the numbers
     of segments and events, or raise ValueError at the first difference.
-    Only headers are parsed: the replay writes them and every cycle-0 line
-    itself, so a match needs no field check."""
+    A text that differs is replayed once more without the blank lines and
+    comments ``parse_trace`` skips, so a byte-equal text pays nothing for
+    them.  Only headers are parsed: the replay writes them and every cycle-0
+    line itself, so a match needs no field check."""
+    try:
+        return _replay_segments(text)
+    except ValueError:
+        kept = re.compile(_SKIPPED).sub("", f"\n{text}\n")[1:]  # every line between newlines
+        if kept == text:
+            raise
+        return _replay_segments(kept)
+
+
+def _replay_segments(text: str) -> tuple[int, int]:
     pos = segments = events = 0
 
     def compare(chunk: str) -> None:
@@ -113,6 +128,8 @@ def replay_text(text: str) -> tuple[int, int]:
         pos += len(chunk)
 
     while pos < len(text) or not segments:  # each segment's first chunk starts with its header
+        if not text.startswith(_HEADER_PREFIX, pos):
+            raise ValueError("trace text has no segment header where its replay has one")
         start = text.index("\n", pos) + 1
         meta = json.loads(text[pos + len(_HEADER_PREFIX):start - 1])
         end = re.compile(_CYCLE0_LINES).match(text, start).end()

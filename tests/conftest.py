@@ -1,4 +1,6 @@
-"""Shared fixtures: cached topologies and random instance generation."""
+"""Shared fixtures: cached topologies, random instance generation, and the
+object engine (``engine.step`` over ``node.py``) as the specification the
+bit planes are compared with."""
 
 from __future__ import annotations
 
@@ -7,8 +9,9 @@ import random
 import pytest
 
 from cayley_imc.algorithms import ExtremumResult, SearchResult
-from cayley_imc.engine import default_cycle_budget, reset_configuration, run_until_quiescent
-from cayley_imc.node import Mode
+from cayley_imc.engine import (Configuration, default_cycle_budget, reset_configuration,
+                               run_until_quiescent)
+from cayley_imc.node import Mode, make_node
 from cayley_imc.topology import TreeParams, build_topology
 
 _TOPO_CACHE: dict[tuple[int, int, int], object] = {}
@@ -74,20 +77,70 @@ def disable(tree, nodes) -> None:
         tree.levels[d].perm |= 1 << p
 
 
-def full_state(cfg) -> tuple:
-    """Every field of every NodeState, inbox included, plus the run header."""
-    rows = []
-    for nd in cfg.nodes:
-        f, ib = nd.flags, nd.inbox
-        rows.append((
-            nd.id, nd.width, nd.word,
-            f.state, f.start, f.match, f.link_mem, tuple(f.link_child),
-            f.perm_disabled,
-            nd.local_clock, nd.acted, nd.neutral, nd.writes, nd.listen_steps,
-            nd.phase1_match,
-            ib.parent, tuple(ib.children), ib.child_count,
-        ))
-    return (cfg.mode, cfg.global_cycle, cfg.phase1_only, tuple(rows))
+def loaded_by_nodes(topo, els, mode, key=None, *, pad=None, perm=None) -> Configuration:
+    """The configuration of node objects that ``load_list(topo, els, mode,
+    key=key)`` loads as planes: padding words, ``perm_disabled`` from the
+    breadth-first flags ``perm`` (by default, on search padding), then the
+    reset for ``mode``."""
+    if pad is None:
+        pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
+    if perm is None:
+        perm = bytes(len(els) + 1) + bytes([mode is Mode.SEARCH]) * (topo.n - 1 - len(els))
+    words = [key if mode is Mode.SEARCH else pad, *els] + [pad] * (topo.n - 1 - len(els))
+    cfg = Configuration(topo=topo, nodes=[make_node(topo, i, v) for i, v in enumerate(words)])
+    for nd, flag in zip(cfg.nodes, perm):
+        nd.flags.perm_disabled = flag
+    return reset_configuration(cfg, mode)
+
+
+def _plane(bits) -> int:
+    """The plane whose bit ``p`` is ``bits[p]``."""
+    return int("".join(map(str, bits))[::-1] or "0", 2)
+
+
+def data_planes(tree) -> list[tuple]:
+    """Per level of the LoadedTree ``tree``: its word planes as the words
+    now stand (MSB first), then its perm, state, match, link_mem, links and
+    phase1_match planes."""
+    return [(lv.aligned(tree.w), lv.perm, lv.state, lv.match, lv.link_mem, lv.links,
+             lv.phase1_match) for lv in tree.levels]
+
+
+def spec_planes(cfg) -> list[tuple]:
+    """``data_planes`` packed from the node objects of ``cfg``, each level's
+    nodes in position order; child slot ``s`` of the node at position ``p``
+    of an ``n``-node level is bit ``s * n + p`` of its links plane."""
+    w, levels = cfg.topo.params.word_size, []
+    for ids in cfg.topo.layout():
+        nodes = [cfg.nodes[i] for i in ids]
+        flags = [nd.flags for nd in nodes]
+        p1 = [nd.phase1_match for nd in nodes]
+        levels.append((
+            [_plane([nd.word >> j & 1 for nd in nodes]) for j in range(w - 1, -1, -1)],
+            _plane([f.perm_disabled for f in flags]), _plane([f.state for f in flags]),
+            _plane([f.match for f in flags]), _plane([f.link_mem for f in flags]),
+            _plane([f.link_child[s] for s in range(len(flags[0].link_child)) for f in flags]),
+            None if p1 == [None] * len(p1) else _plane(p1)))
+    return levels
+
+
+def bits_of(tree, name) -> list[int]:
+    """Each node's bit of the ``name`` planes of ``tree``, by node id."""
+    bits = [0] * tree.topo.n
+    for lv, ids in zip(tree.levels, tree.topo.layout()):
+        for p, i in enumerate(ids):
+            bits[i] = getattr(lv, name) >> p & 1
+    return bits
+
+
+def words_of(tree) -> list[int]:
+    """The words of ``tree`` as they now stand, by node id."""
+    words = [0] * tree.topo.n
+    for lv, ids in zip(tree.levels, tree.topo.layout()):
+        for plane in lv.aligned(tree.w):
+            for p, i in enumerate(ids):
+                words[i] = words[i] << 1 | plane >> p & 1
+    return words
 
 
 def _object_run(cfg, mode, on_step) -> int:

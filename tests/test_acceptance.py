@@ -30,7 +30,7 @@ from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_extremum, oracle_search, oracle_sort_desc
 from cayley_imc.topology import TreeParams, build_topology, node_count
 
-from conftest import cached_topology, random_elements, random_params
+from conftest import cached_topology, loaded_by_nodes, random_elements, random_params, words_of
 
 SEARCH_OFFSET = 0
 EXTREMUM_OFFSET = -1
@@ -60,7 +60,11 @@ def test_node_count_formula_matches_construction():
             for h in range(1, 9):
                 topo = build_topology(TreeParams(eta, h, 4))
                 assert topo.n == node_count(eta, h)
-                assert len(topo.parent_of) == topo.n
+                reached, frontier = 1, [0]
+                while frontier:  # walk the tree from its root
+                    frontier = [c for u in frontier for c in topo.children(u)]
+                    reached += len(frontier)
+                assert reached == topo.n
 
 
 def test_worked_example_search():
@@ -76,10 +80,10 @@ def test_worked_example_max():
     with criterion("worked example: max", budget_s=1.0):
         topo = cached_topology(2, 3, 4)
         tree = load_list(topo, MAX_LIST, Mode.MAX)
-        before = [n.word for n in tree.configuration().nodes[1:]]
+        before = words_of(tree)[1:]
         result = compute_max(tree)
         assert result.value == 14
-        after = [n.word for n in tree.configuration().nodes[1:]]
+        after = words_of(tree)[1:]
         assert after == before
 
 
@@ -182,8 +186,7 @@ def test_space_claim_arithmetic():
 
 def _observe_search_monotonicity(topo, els, key):
     w = topo.params.word_size
-    tree = load_list(topo, els, Mode.SEARCH, key=key)
-    cfg = tree.configuration()
+    cfg = loaded_by_nodes(topo, els, Mode.SEARCH, key)
     prev_match = {n.id: n.flags.match for n in cfg.nodes}
     prev_root_state = None
     for _ in range(w + 2 * topo.params.height):
@@ -203,8 +206,7 @@ def _observe_search_monotonicity(topo, els, key):
 
 
 def _observe_link_monotonicity(topo, els, mode):
-    tree = load_list(topo, els, mode)
-    cfg = tree.configuration()
+    cfg = loaded_by_nodes(topo, els, mode)
     prev = [(n.flags.link_mem, tuple(n.flags.link_child)) for n in cfg.nodes]
     for _ in range(topo.params.word_size + topo.params.height):
         step(cfg)
@@ -234,7 +236,7 @@ def _subtree_nodes(topo, child):
     while frontier:
         nxt = []
         for u in frontier:
-            nxt.extend(topo.children_of[u])
+            nxt.extend(topo.children(u))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -254,14 +256,13 @@ def test_disabled_subtree_soundness():
                 0 if mode is Mode.MAX else limit - 1)
             # the adversarial fill is the value that would win if it leaked
             poison = limit - 1 if mode is Mode.MAX else 0
-            tree = load_list(topo, els, mode)
-            cfg = tree.configuration()
+            cfg = loaded_by_nodes(topo, els, mode)
             for _ in range(w + h):
                 step(cfg)
                 for n in cfg.nodes:
                     for slot, cut in enumerate(n.flags.link_child):
                         if cut:
-                            child = topo.children_of[n.id][slot]
+                            child = topo.children(n.id)[slot]
                             for v in _subtree_nodes(topo, child):
                                 value = poison if rng.random() < 0.7 \
                                     else rng.randrange(limit)

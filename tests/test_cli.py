@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from cayley_imc import cli, planes, tracefile
+from cayley_imc import cli, node, planes, tracefile
 from cayley_imc.cli import InputError, main, parse_input
-from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology
+from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, Role, TreeParams, build_topology
 
 
 class TestParseInput:
@@ -160,8 +160,10 @@ class TestInfo:
         for eta in (1, 2, 3):
             for height in range(1, 6):
                 topo = build_topology(TreeParams(eta, height, 8))
-                per_level = [topo.depth_of.count(d) for d in range(height)]
-                expected[eta, height] = (topo.n, len(topo.leaves), per_level)
+                depths = list(map(topo.depth, range(topo.n)))
+                per_level = list(map(depths.count, range(height)))
+                leaves = sum(topo.role(d) is Role.LEAF for d in depths)
+                expected[eta, height] = (topo.n, leaves, per_level)
 
         def no_build(params):
             raise AssertionError("info must not build the topology")
@@ -282,11 +284,11 @@ class TestTrace:
         assert len(resets) == 2 * 8
 
     def test_runs_and_replays_build_no_node_objects(self, capsys, tmp_path, monkeypatch):
-        # Node objects come only from configuration(), a copy for tests.
+        # Node objects are the object engine's, which only the tests run.
         def refuse(*args):
             raise AssertionError("a node object was built")
 
-        monkeypatch.setattr(planes, "make_node", refuse)
+        monkeypatch.setattr(node.NodeState, "__init__", refuse)
         for i, argv in enumerate([("search", "--key", "5", "--height", "4"), ("max",), ("min",),
                                   ("sort",), ("sort", "--order", "asc")]):
             path = tmp_path / f"{i}.trace"
@@ -467,7 +469,7 @@ class TestTrace:
 
 
 # Each value is just past its cap, or below 0 for --count, where the check
-# fires before anything is drawn or built.
+# fires before anything is drawn or built; --sizes refuses a negative entry too.
 _PAST_NODE_CAP = str(MAX_NODES // 2 + 1)  # an eta=1 height with MAX_NODES + 1 nodes
 
 
@@ -478,6 +480,7 @@ _PAST_NODE_CAP = str(MAX_NODES // 2 + 1)  # an eta=1 height with MAX_NODES + 1 n
     (("max", "--eta", "1", "--height", _PAST_NODE_CAP, "--list", "1"), "limit"),
     (("max", "--list", "1", "--word-size", str(MAX_WORD_SIZE + 1)), "--word-size"),
     (("max", "--seed", "1", "--count", "-1"), "--count"),
+    (("bench", "--sizes", "4,-3"), "--sizes"),
 ])
 def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)
@@ -491,6 +494,7 @@ def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     (("sort", "--list", "1", "--order", "up"), "invalid choice"),
     ((), "required"),
     (("max", "--list", "1", "--bogus", "a\nb"), "unrecognized arguments"),
+    (("bench", "--sizes", "4,x"), "--sizes"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)

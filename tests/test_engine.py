@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cayley_imc.algorithms import load_list
 from cayley_imc.engine import (
     Configuration,
     ProtocolError,
@@ -20,15 +19,15 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode, make_node
 from cayley_imc.topology import Role
-from cayley_imc.tracefile import parse_trace, trace_header, tree_from_events
+from cayley_imc.tracefile import Recorder, parse_trace, trace_header, tree_from_events
 
-from conftest import cached_topology
+from conftest import cached_topology, loaded_by_nodes
 
 ELEMENTS = [14, 9, 6, 10, 14, 7, 11, 11, 10]
 
 
 def _search_cfg(topo, key=9):
-    return load_list(topo, ELEMENTS[: topo.n - 1], Mode.SEARCH, key=key).configuration()
+    return loaded_by_nodes(topo, ELEMENTS[: topo.n - 1], Mode.SEARCH, key)
 
 
 def test_idle_configuration_cannot_step(topo_2_3_4):
@@ -42,7 +41,7 @@ def test_initiate_travels_one_level_per_cycle():
     topo = cached_topology(2, 4, 4)
     cfg = _search_cfg(topo)
     for depth in range(1, topo.params.height):
-        at_depth = [i for i in range(topo.n) if topo.depth_of[i] == depth]
+        at_depth = range(topo.offsets[depth], topo.offsets[depth + 1])
         assert all(cfg.nodes[i].flags.start == 0 for i in at_depth)
         # the step that begins at global_cycle == depth delivers the initiate
         while cfg.global_cycle <= depth:
@@ -51,7 +50,7 @@ def test_initiate_travels_one_level_per_cycle():
 
 
 def test_max_initiate_travels_upward(topo_2_3_4):
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
+    cfg = loaded_by_nodes(topo_2_3_4, ELEMENTS[:8], Mode.MAX)
     assert cfg.root.flags.start == 0
     step(cfg)  # leaves emit the initiate
     assert all(cfg.nodes[i].flags.start == 0 for i in (1, 2, 3))
@@ -95,11 +94,11 @@ def test_exact_cycle_counts(topo_2_3_4):
     cfg = _search_cfg(topo_2_3_4)
     _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + 2 * h
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
+    cfg = loaded_by_nodes(topo_2_3_4, ELEMENTS[:8], Mode.MAX)
     _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + h
-    tree = load_list(topo_2_3_4, ELEMENTS[:8], Mode.SEARCH, key=3)
-    cfg = reset_configuration(tree.configuration(), Mode.SEARCH, phase1_only=True)
+    cfg = loaded_by_nodes(topo_2_3_4, ELEMENTS[:8], Mode.SEARCH, 3)
+    cfg = reset_configuration(cfg, Mode.SEARCH, phase1_only=True)
     _, cycles = run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert cycles == w + h
 
@@ -116,7 +115,7 @@ def test_snapshot_copies_state(topo_2_3_4):
 
 
 def test_snapshot_after_max_run_shows_answer_at_root(topo_2_3_4):
-    cfg = load_list(topo_2_3_4, [14, 9, 5, 14, 7, 11, 10, 10], Mode.MAX).configuration()
+    cfg = loaded_by_nodes(topo_2_3_4, [14, 9, 5, 14, 7, 11, 10, 10], Mode.MAX)
     run_until_quiescent(cfg, default_cycle_budget(topo_2_3_4))
     assert snapshot(cfg)[0].word == 14
 
@@ -136,15 +135,11 @@ def test_trace_stream_round_trip(topo_2_3_4):
     meta, events = segments[0]
     assert meta["mode"] == "search"
 
-    # A rebuilt tree is in its cycle-0 state, ready to copy.
-    replay = tree_from_events(meta, events).configuration()
-    out = [e.to_json() for e in snapshot(replay)]
-
-    def on_step2(c, emissions):
-        out.extend(e.to_json() for e in snapshot(c, emissions))
-
-    run_until_quiescent(replay, default_cycle_budget(replay.topo), on_step2)
-    assert [json.loads(x) for x in out] == events
+    # A rebuilt tree is in its cycle-0 state; its run records the same events.
+    replay, out = tree_from_events(meta, events), []
+    replay.run(replay.mode, on_step=Recorder(lambda text: out.extend(text.splitlines())))
+    assert out[0] == lines[0]
+    assert [json.loads(x) for x in out[1:]] == events
 
 
 def test_trace_rejects_incomplete_initial_snapshot(topo_2_3_4):
@@ -166,7 +161,7 @@ def test_trace_event_field_set(topo_2_3_4):
 
 def test_trace_event_fields_equal_its_parsed_json_line(topo_2_3_4):
     # Trace replay compares events with parsed records field by field.
-    cfg = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
+    cfg = loaded_by_nodes(topo_2_3_4, ELEMENTS[:8], Mode.MAX)
     events = snapshot(cfg, step(cfg, capture=True))
     assert [json.loads(e.to_json()) for e in events] == [e._asdict() for e in events]
 
@@ -176,10 +171,10 @@ def test_emitted_ports_in_trace(topo_2_3_4):
     emissions = step(cfg, capture=True)
     events = snapshot(cfg, emissions)
     assert events[0].emitted == {"c0": 1, "c1": 1, "c2": 1}  # root initiate
-    cfg2 = load_list(topo_2_3_4, ELEMENTS[:8], Mode.MAX).configuration()
+    cfg2 = loaded_by_nodes(topo_2_3_4, ELEMENTS[:8], Mode.MAX)
     emissions = step(cfg2, capture=True)
     events = snapshot(cfg2, emissions)
-    assert all(events[leaf].emitted == {"parent": 1} for leaf in topo_2_3_4.leaves)
+    assert all(e.emitted == {"parent": 1} for e in events[4:])  # the leaves, nodes 4-9
 
 
 _BIT = st.integers(0, 1)
@@ -204,4 +199,6 @@ def test_to_json_is_compact_json_dumps(event):
 def test_snapshot_roles_are_the_topology_roles(eta, height):
     topo = cached_topology(eta, height, 4)
     cfg = Configuration(topo, [make_node(topo, i, 0) for i in range(topo.n)])
-    assert [e.role for e in snapshot(cfg)] == [r.value for r in topo.role_of]
+    leaves = topo.n - topo.offsets[-2] if height > 1 else 0  # the last level
+    assert [e.role for e in snapshot(cfg)] == (
+        ["root"] + ["intermediate"] * (topo.n - 1 - leaves) + ["leaf"] * leaves)

@@ -10,7 +10,7 @@ from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_extremum
 from cayley_imc.topology import required_height
 
-from conftest import cached_topology
+from conftest import cached_topology, loaded_by_nodes, words_of
 
 FIG_ELEMENTS = [14, 9, 5, 14, 7, 11, 10, 10]
 
@@ -25,7 +25,7 @@ def test_worked_example_max(topo_2_3_4):
 def test_worked_example_restores_words(topo_2_3_4):
     tree = load_list(topo_2_3_4, FIG_ELEMENTS, Mode.MAX)
     compute_max(tree)
-    values = [tree.configuration().nodes[i].word for i in range(1, 10)]
+    values = words_of(tree)[1:10]
     assert values == FIG_ELEMENTS + [0]  # originals plus one padding slot
 
 
@@ -37,9 +37,8 @@ def test_min_of_worked_example(topo_2_3_4):
 def test_all_equal_list_disables_nothing(topo_2_3_4):
     tree = load_list(topo_2_3_4, [5, 5, 5, 5, 5, 5, 5, 5, 5], Mode.MAX)
     assert compute_max(tree).value == 5
-    for node in tree.configuration().nodes:
-        assert node.flags.link_mem == 0
-        assert all(b == 0 for b in node.flags.link_child)
+    for lv in tree.levels:
+        assert lv.link_mem == lv.links == 0
 
 
 def test_single_element(topo_2_3_4):
@@ -98,8 +97,7 @@ def test_link_flags_only_rise_within_a_run(topo_2_3_4):
     rng = random.Random(11)
     for _ in range(30):
         els = [rng.randrange(16) for _ in range(9)]
-        tree = load_list(topo_2_3_4, els, Mode.MAX)
-        cfg = tree.configuration()
+        cfg = loaded_by_nodes(topo_2_3_4, els, Mode.MAX)
         prev = [(n.flags.link_mem, tuple(n.flags.link_child)) for n in cfg.nodes]
         for _ in range(7):
             step(cfg)
@@ -115,7 +113,7 @@ def _subtree(topo, child):
     while frontier:
         nxt = []
         for u in frontier:
-            nxt.extend(topo.children_of[u])
+            nxt.extend(topo.children(u))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -127,15 +125,14 @@ def test_cut_subtrees_cannot_change_the_answer(topo_2_3_4):
     topo = topo_2_3_4
     for _ in range(50):
         els = [rng.randrange(16) for _ in range(9)]
-        tree = load_list(topo, els, Mode.MAX)
-        cfg = tree.configuration()
+        cfg = loaded_by_nodes(topo, els, Mode.MAX)
         expected = max(els)
         for _ in range(7):
             step(cfg)
             for node in cfg.nodes:
                 for slot, cut in enumerate(node.flags.link_child):
                     if cut:
-                        child = topo.children_of[node.id][slot]
+                        child = topo.children(node.id)[slot]
                         for v in _subtree(topo, child):
                             cfg.nodes[v].word = 15
                 if node.flags.link_mem and node.id != 0:

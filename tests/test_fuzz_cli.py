@@ -219,9 +219,9 @@ def test_text_first_replay_reports_what_the_parsed_comparison_reports(kind, edit
         assert result[0] != 0, result
 
 
-@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
-def test_unchanged_trace_is_matched_as_text(kind):
-    lines = _recorded_trace(kind)
+def _assert_matched_as_text(lines, headers):
+    """The trace ``lines`` match their replay with the parsed comparison
+    switched off, and only the ``headers`` reach ``json.loads``."""
     content = "\n".join(lines).encode() + b"\n"
     parsed, loads = [], json.loads
 
@@ -234,8 +234,25 @@ def test_unchanged_trace_is_matched_as_text(kind):
     with mock.patch.object(cli, "parse_trace", _refuse), mock.patch.object(json, "loads", spy):
         status, out, err = _replay(content)
     assert (status, err) == (0, "") and out.endswith(" replay matches\n"), (out, err)
-    assert parsed == [line[len(_HEADER_PREFIX):] for line in lines
-                      if line.startswith(_HEADER_PREFIX)]
+    assert parsed == [line[len(_HEADER_PREFIX):] for line in headers]
+
+
+def _headers(lines):
+    return [line for line in lines if line.startswith(_HEADER_PREFIX)]
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
+def test_unchanged_trace_is_matched_as_text(kind):
+    lines = _recorded_trace(kind)
+    _assert_matched_as_text(lines, _headers(lines))
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
+def test_annotated_trace_is_matched_as_text(kind):
+    # The lines parse_trace skips are dropped before the text comparison.
+    lines = list(_recorded_trace(kind))
+    annotated = ["# a note"] + lines[:3] + [""] + lines[3:] + ["  # the end"]
+    _assert_matched_as_text(annotated, _headers(lines))
 
 
 @pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))

@@ -4,9 +4,9 @@ The object engine (``engine.step`` over the transition rules of ``node.py``)
 is the reference.  Each cycle-by-cycle check loads a configuration for it
 and a tree alike, runs the same scheme on both, and compares after every
 cycle the trace lines the recorder writes from the tree's planes with the
-object engine's snapshot, and every ``NodeState`` field of a copy of the
-tree's configuration with the object engine's; then the results and final
-states of whole runs through the library entry points.
+object engine's snapshot, and the tree's planes and per-level control with
+the object engine's nodes packed into planes level by level; then the
+results and final planes of whole runs through the library entry points.
 """
 
 import gc
@@ -17,7 +17,6 @@ import pytest
 
 from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
 from cayley_imc.engine import (
-    Configuration,
     ProtocolError,
     QuiescenceError,
     _quiescent,
@@ -28,13 +27,13 @@ from cayley_imc.engine import (
     snapshot,
     step,
 )
-from cayley_imc.node import Mode, make_node
+from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_search, oracle_sort_desc
 from cayley_imc.planes import LoadedTree, _schedule
 from cayley_imc.tracefile import Recorder, trace_header
 
-from conftest import (cached_topology, disable, full_state, object_extremum, object_search,
-                      random_elements)
+from conftest import (cached_topology, data_planes, disable, loaded_by_nodes, object_extremum,
+                      object_search, random_elements, spec_planes, words_of)
 
 # The seeds of the acceptance fuzz tests.
 SEEDS = (0xC0FFEE, 0xBEEF, 0xFEED, 0xD15AB1E)
@@ -53,13 +52,17 @@ def _lockstep(obj, tree, mode, phase1_only=False) -> int:
     return the cycles of the tree's run.
 
     After the reset and after every cycle, the recorder's output for the
-    tree must equal the object engine's snapshot with its emissions, and a
-    copy of the tree's configuration the object engine's full state.  The
-    object engine must first be quiescent after the run's last cycle.
+    tree must equal the object engine's snapshot with its emissions (every
+    bit it latches in an inbox), and each level of the tree its nodes in
+    the object engine: the data planes, and the clock and ``start`` that
+    every node of the level holds, and at the root the rotation that is its
+    count of writes.  The object engine must first be quiescent after the
+    run's last cycle, so the root's listen count is checked in search.
     """
     reset_configuration(obj, mode, phase1_only=phase1_only)
     written, quiet = [], []
     record = Recorder(written.append)
+    layout = obj.topo.layout()
 
     def compare(t):
         if t.cycle:
@@ -70,7 +73,12 @@ def _lockstep(obj, tree, mode, phase1_only=False) -> int:
         where = (mode, phase1_only, t.cycle)
         assert written == [expected], where
         written.clear()
-        assert full_state(t.configuration()) == full_state(obj), where
+        for d, (lv, ids, planes, spec) in enumerate(
+                zip(t.levels, layout, data_planes(t), spec_planes(obj))):
+            assert planes == spec, (where, d)
+            held = {(obj.nodes[i].local_clock, obj.nodes[i].flags.start) for i in ids}
+            assert held == {(lv.clock, lv.start)}, (where, d)
+        assert t.levels[0].rot == obj.root.writes, where
         quiet.append(_quiescent(obj))
 
     cycles = tree.run(mode, phase1_only=phase1_only, on_step=compare)
@@ -102,7 +110,7 @@ def _object_stop_at(cycle):
 def _twins(topo, els, mode, key=None):
     """A configuration for the object engine and a tree for the planes,
     loaded alike."""
-    return load_list(topo, els, mode, key=key).configuration(), load_list(topo, els, mode, key=key)
+    return loaded_by_nodes(topo, els, mode, key), load_list(topo, els, mode, key=key)
 
 
 def _disable_some(rng, topo, obj, tree):
@@ -168,20 +176,18 @@ def test_whole_runs_match_through_the_entry_points(eta, h, w):
     for seed in SEEDS:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:runs")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
-        pl = load_list(topo, els, Mode.SEARCH, key=0)
-        obj = load_list(topo, els, Mode.SEARCH, key=0).configuration()
+        obj, pl = _twins(topo, els, Mode.SEARCH, 0)
         for _ in range(3):
             key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
             got = search(pl, key, collect_matches=True)
             assert got == object_search(obj, key, pl.occupied)
-            assert full_state(pl.configuration()) == full_state(obj)
+            assert data_planes(pl) == spec_planes(obj)
         for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
-            pl = load_list(topo, els, mode)
-            obj = load_list(topo, els, mode).configuration()
+            obj, pl = _twins(topo, els, mode)
             _disable_some(rng, topo, obj, pl)
             for _ in range(2):
                 assert run(pl) == object_extremum(obj, mode)
-                assert full_state(pl.configuration()) == full_state(obj)
+                assert data_planes(pl) == spec_planes(obj)
 
 
 @pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX, Mode.MIN])
@@ -193,7 +199,7 @@ def test_a_lone_root_matches_the_object_engine(mode):
     message."""
     topo = cached_topology(2, 1, 4)
     tree = LoadedTree.load(topo, mode, 5, [], 0, bytes(1))
-    obj = Configuration(topo=topo, nodes=[make_node(topo, 0, 5)])
+    obj = loaded_by_nodes(topo, [], mode, 5, pad=5)
     if mode is Mode.SEARCH:
         assert _lockstep(obj, tree, mode) == 4 + 2
         return
@@ -208,26 +214,11 @@ def test_a_lone_root_matches_the_object_engine(mode):
     assert seen == []
 
 
-def _loaded_by_nodes(topo, els, mode, key=None, *, pad=None, perm=None):
-    """The state a load held when it built node objects: padding words,
-    perm_disabled from the breadth-first flags ``perm`` (by default, on
-    search padding), then the reset for ``mode``."""
-    if pad is None:
-        pad = (1 << topo.params.word_size) - 1 if mode is Mode.MIN else 0
-    if perm is None:
-        perm = bytes(len(els) + 1) + bytes([mode is Mode.SEARCH]) * (topo.n - 1 - len(els))
-    words = [key if mode is Mode.SEARCH else pad, *els] + [pad] * (topo.n - 1 - len(els))
-    cfg = Configuration(topo=topo, nodes=[make_node(topo, i, v) for i, v in enumerate(words)])
-    for nd, flag in zip(cfg.nodes, perm):
-        nd.flags.perm_disabled = flag
-    return reset_configuration(cfg, mode)
-
-
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_plane_form_trees_match_the_object_engine(eta, h, w):
-    """Straight after the load, a copy must hold the state a node-by-node
-    load gives.  Runs on loaded trees are checked through the entry points
-    above."""
+    """Straight after the load, the planes must hold the state a
+    node-by-node load gives.  Runs on loaded trees are checked through the
+    entry points above."""
     topo = cached_topology(eta, h, w)
     limit = 1 << w
     for seed in SEEDS:
@@ -236,15 +227,15 @@ def test_plane_form_trees_match_the_object_engine(eta, h, w):
         for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
             key = rng.randrange(limit)
             fresh = load_list(topo, els, mode, key=key)
-            assert full_state(fresh.configuration()) == full_state(_loaded_by_nodes(topo, els, mode, key))
+            assert data_planes(fresh) == spec_planes(loaded_by_nodes(topo, els, mode, key))
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_a_fresh_load_is_in_its_modes_reset_state(eta, h, w):
     """``LoadedTree.load`` alone, as the trace rebuild calls it, leaves the
-    tree in its mode's reset state, so ``configuration()`` and ``bit()``
-    work before any run: with no node disabled, with the padding disabled,
-    and with any nodes disabled, the root among them."""
+    tree in its mode's reset state before any run: with no node disabled,
+    with the padding disabled, and with any nodes disabled, the root among
+    them."""
     topo = cached_topology(eta, h, w)
     rng = random.Random(f"{eta}:{h}:{w}:fresh")
     for mode in (Mode.SEARCH, Mode.MAX, Mode.MIN):
@@ -255,13 +246,11 @@ def test_a_fresh_load_is_in_its_modes_reset_state(eta, h, w):
                     "padding": bytes(len(els) + 1) + b"\1" * (topo.n - 1 - len(els)),
                     "any": bytes(rng.random() < 0.3 for _ in range(topo.n))}[flags]
             tree = LoadedTree.load(topo, mode, root, els, pad, perm)
-            expected = _loaded_by_nodes(topo, els, mode, root if mode is Mode.SEARCH else None,
-                                        pad=pad, perm=perm)
+            expected = loaded_by_nodes(topo, els, mode, root if mode is Mode.SEARCH else None,
+                                       pad=pad, perm=perm)
             if mode is not Mode.SEARCH:
                 expected.root.word = root
-            assert full_state(tree.configuration()) == full_state(expected)
-            assert [tree.bit("state", i) for i in range(topo.n)] == [
-                nd.flags.state for nd in expected.nodes]
+            assert data_planes(tree) == spec_planes(expected)
 
 
 _WIDTHS = (1, 7, 8, 9, 16, 17, 32, 33, 63, 64)
@@ -275,7 +264,7 @@ def test_word_planes_round_trip_every_word(w):
     rng = random.Random(f"{w}:pack")
     els = [0, (1 << w) - 1, 1, 1 << (w - 1)] + [rng.getrandbits(w) for _ in range(topo.n - 5)]
     tree = load_list(topo, els, Mode.MAX)
-    assert [nd.word for nd in tree.configuration().nodes] == [0, *els]
+    assert words_of(tree) == [0, *els]
 
 
 @pytest.mark.parametrize("w", _WIDTHS)
@@ -303,8 +292,7 @@ def test_an_aborted_run_in_plane_form(topo_2_3_4, mode):
     els = [3, 1, 2, 7, 12, 5]
     length = len(_schedule(mode is Mode.SEARCH, 3, 4, False))
     for cycle in range(1, length + 1):
-        tree = load_list(topo_2_3_4, els, mode, key=0)
-        twin = load_list(topo_2_3_4, els, mode, key=0).configuration()
+        twin, tree = _twins(topo_2_3_4, els, mode, 0)
         if mode is Mode.SEARCH:
             run, run_twin = partial(search, key=2), partial(object_search, twin, 2, ())
         else:
@@ -314,9 +302,9 @@ def test_an_aborted_run_in_plane_form(topo_2_3_4, mode):
             run(tree, on_step=_stop_at(cycle))
         with pytest.raises(_Abort):
             run_twin(on_step=_object_stop_at(cycle))
-        assert full_state(tree.configuration()) == full_state(twin), cycle
+        assert data_planes(tree) == spec_planes(twin), cycle
         assert run(tree) == run_twin(), cycle
-        assert full_state(tree.configuration()) == full_state(twin), cycle
+        assert data_planes(tree) == spec_planes(twin), cycle
 
 
 def test_an_aborted_run_leaves_the_object_engine_state(topo_2_3_4):
@@ -334,21 +322,20 @@ def test_an_aborted_run_leaves_the_object_engine_state(topo_2_3_4):
                 run_until_quiescent(obj, default_cycle_budget(topo_2_3_4), _object_stop_at(cycle))
             with pytest.raises(_Abort):
                 tree.run(mode, phase1_only=phase1_only, on_step=_stop_at(cycle))
-            assert full_state(tree.configuration()) == full_state(obj), (mode, phase1_only, cycle)
+            assert data_planes(tree) == spec_planes(obj), (mode, phase1_only, cycle)
 
 
 def _unobserved_and_observed(pair, mode, stop=None, phase1_only=False):
-    """The full state of a copy of ``pair[0]`` after a run, unobserved or
-    aborted after cycle ``stop`` by an observer that reads nothing, and of
-    the copy an observer takes of ``pair[1]`` on the last cycle of the same
-    run."""
+    """The data planes of ``pair[0]`` after a run, unobserved or aborted
+    after cycle ``stop`` by an observer that reads nothing, and those an
+    observer reads off ``pair[1]`` on the last cycle of the same run."""
     h, w = len(pair[0].levels), pair[0].w
     last = len(_schedule(mode is Mode.SEARCH, h, w, phase1_only)) if stop is None else stop
     seen = []
 
     def observe(t):
         if t.cycle == last:
-            seen.append(full_state(t.configuration()))
+            seen.append(data_planes(t))
             if stop is not None:
                 raise _Abort
 
@@ -358,15 +345,16 @@ def _unobserved_and_observed(pair, mode, stop=None, phase1_only=False):
             tree.run(mode, phase1_only=phase1_only, on_step=on_step)
         except _Abort:
             pass
-    return full_state(pair[0].configuration()), seen.pop()
+    return data_planes(pair[0]), seen.pop()
 
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_derived_control_equals_the_observed_control(eta, h, w):
-    """An unobserved run leaves its control values to be derived when they
-    are read.  Whether the run finishes or its observer aborts it, a copy
-    taken after it must equal the copy an observer takes on its last cycle,
-    and chained runs must start from the same state."""
+    """An unobserved run derives no control values, the words' rotation
+    among them.  Whether the run finishes or its observer aborts it, the
+    planes after it, words as they stand included, must equal those an
+    observer reads on its last cycle, and chained runs must start from the
+    same state."""
     topo = cached_topology(eta, h, w)
     for seed in SEEDS:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}:derived")
@@ -391,53 +379,44 @@ def test_derived_control_equals_the_observed_control(eta, h, w):
 @pytest.mark.parametrize("eta,h,w", [(2, 3, 4), (1, 5, 8), (3, 2, 2)])
 def test_root_word_reads_the_rotated_planes(eta, h, w):
     """``root_word`` folds the root's one-bit word planes at the root's
-    rotation: after every cycle of an observed tournament, after a
-    finished unobserved one, and after one its observer aborted part way
-    through its writes."""
+    rotation into the object engine's root word: after every cycle of an
+    observed tournament, after a finished unobserved one, and after one its
+    observer aborted part way through its writes."""
     topo = cached_topology(eta, h, w)
     els = random_elements(random.Random(f"{eta}:{h}:{w}:root"), topo.n - 1, w, max_len=16)
     for mode, run in ((Mode.MAX, compute_max), (Mode.MIN, compute_min)):
         seen = []
+        obj, tree = _twins(topo, els, mode)
 
         def check(t):
-            assert t.root_word == t.configuration().root.word, (mode, t.cycle)
+            if t.cycle:
+                step(obj)
+            assert t.root_word == obj.root.word, (mode, t.cycle)
             seen.append(t.cycle)
 
-        tree = load_list(topo, els, mode)
         run(tree, on_step=check)
         assert seen == list(range(w + h + 1))
         run(tree)
-        assert tree.root_word == tree.configuration().root.word, mode
+        object_extremum(obj, mode)
+        assert tree.root_word == obj.root.word, mode
         for cycle in range(w + h):
             with pytest.raises(_Abort):
                 tree.run(mode, on_step=_stop_at(cycle))
-            assert tree.root_word == tree.configuration().root.word, (mode, cycle)
-
-
-def test_configuration_is_a_copy(topo_2_3_4):
-    tree = load_list(topo_2_3_4, [3, 1, 2, 7], Mode.SEARCH, key=0)
-    search(tree, 3)
-    held, again = tree.configuration(), tree.configuration()
-    assert held is not again and full_state(held) == full_state(again)
-    assert not {id(nd) for nd in held.nodes} & {id(nd) for nd in again.nodes}
-    kept = full_state(again)
-    held.nodes[4].word = 5  # would make node 4 match key 5
-    held.nodes[1].flags.perm_disabled = 1  # would retire node 1, which holds 3
-    got = search(tree, 5, collect_matches=True)
-    assert (got.found, got.matched_nodes) == (0, frozenset())
-    assert search(tree, 3, collect_matches=True).matched_nodes == {1}
-    assert full_state(again) == kept  # runs leave a copy alone
-    later = tree.configuration()
-    assert later.nodes[4].word == 7 and later.nodes[1].flags.perm_disabled == 0
+            reset_configuration(obj, mode)
+            for _ in range(cycle):
+                step(obj)
+            assert tree.root_word == obj.root.word, (mode, cycle)
 
 
 def test_search_refuses_a_tree_that_has_not_drained(topo_2_3_4, monkeypatch):
     """A state or match bit left at a leaf once a full search is quiescent
     is a protocol error naming the lowest such node id, as the object
-    engine's drain check does; the next search on the tree starts clean.
-    A search that drains reads no id layout."""
+    engine's drain check does on the same bits; the next search on the
+    tree starts clean.  A search that drains reads no id layout."""
     els = [3, 1, 2, 7, 3]
-    tree = load_list(topo_2_3_4, els, Mode.SEARCH, key=0)
+    obj, tree = _twins(topo_2_3_4, els, Mode.SEARCH, 0)
+    object_search(obj, 3, ())
+    leaves = topo_2_3_4.layout()[-1]
     with monkeypatch.context() as m:
         m.setattr(type(topo_2_3_4), "layout", None)
         assert search(tree, 3).found == 1
@@ -451,8 +430,11 @@ def test_search_refuses_a_tree_that_has_not_drained(topo_2_3_4, monkeypatch):
             if t.cycle == 4 + 2 * 3:  # w + 2h, the run's last cycle
                 t.levels[-1].state |= state
                 t.levels[-1].match |= match
+                for p, i in enumerate(leaves):  # the same bits in the drained object engine
+                    f = obj.nodes[i].flags
+                    f.state, f.match = state >> p & 1, match >> p & 1
                 with pytest.raises(ProtocolError) as spec:
-                    _validate_quiescent(t.configuration())
+                    _validate_quiescent(obj)
                 expected.append(str(spec.value))
 
         with pytest.raises(ProtocolError) as info:
@@ -479,12 +461,12 @@ def test_runs_leave_no_reference_cycles(topo_2_3_4):
         compute_max(load_list(topo_2_3_4, els, Mode.MAX))
         compute_min(load_list(topo_2_3_4, els, Mode.MIN))
         sort(topo_2_3_4, els)
-        # Chained runs with no copy between them, then a copy.
+        # Chained runs with nothing read between them, then a read.
         chained = load_list(topo_2_3_4, els, Mode.SEARCH, key=0)
         search(chained, 3)
         search(chained, 5)
         compute_max(load_list(topo_2_3_4, els, Mode.MAX))
-        assert chained.configuration().root.word == 5
+        assert chained.root_word == 5
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -9,7 +9,7 @@ from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_sort_desc
 from cayley_imc.topology import required_height
 
-from conftest import cached_topology
+from conftest import cached_topology, loaded_by_nodes, words_of
 
 ELEMENTS = [14, 9, 6, 10, 14, 7, 11, 11, 10]
 
@@ -68,8 +68,7 @@ def test_words_survive_the_whole_sort(topo_2_3_4):
     result = sort(topo_2_3_4, ELEMENTS)
     assert result.output == oracle_sort_desc(ELEMENTS)
     # sort() builds its own tree, so check by sorting a fresh load manually
-    for i, x in enumerate(ELEMENTS, start=1):
-        assert tree.configuration().nodes[i].word == x
+    assert words_of(tree)[1:len(ELEMENTS) + 1] == ELEMENTS
 
 
 def test_order_independence(topo_2_3_4):
@@ -112,10 +111,9 @@ def test_words_restored_before_every_round(topo_2_3_4):
         run_until_quiescent,
     )
 
-    tree = load_list(topo_2_3_4, ELEMENTS, Mode.MAX)
-    cfg = tree.configuration()
+    cfg = loaded_by_nodes(topo_2_3_4, ELEMENTS, Mode.MAX)
     budget = default_cycle_budget(topo_2_3_4)
-    live = set(tree.occupied)
+    live = set(range(1, len(ELEMENTS) + 1))
     rounds = 0
     while live and rounds < 10:
         reset_configuration(cfg, Mode.MAX)

@@ -8,7 +8,8 @@ from cayley_imc.algorithms import compute_max, compute_min, load_list, search
 from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_extremum, oracle_search
 
-from conftest import cached_topology, disable, full_state, object_extremum, object_search
+from conftest import (bits_of, cached_topology, data_planes, disable, loaded_by_nodes,
+                      object_extremum, object_search, spec_planes, words_of)
 
 SHAPES = [(1, 3, 4), (2, 2, 4), (2, 3, 4), (2, 4, 8), (3, 3, 8)]
 
@@ -19,7 +20,7 @@ class ReusedTree(RuleBasedStateMachine):
 
     Both see the same runs and the same nodes disabled between runs, so any
     state the plane engine fails to carry from run to run shows up as a
-    difference in answers or in full node state.
+    difference in answers or in planes.
     """
 
     @initialize(shape=st.sampled_from(SHAPES),
@@ -33,11 +34,11 @@ class ReusedTree(RuleBasedStateMachine):
         els = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=self.topo.n - 1))
         key = 0 if mode is Mode.SEARCH else None
         self.tree = load_list(self.topo, els, mode, key=key)
-        self.twin = load_list(self.topo, els, mode, key=key).configuration()
+        self.twin = loaded_by_nodes(self.topo, els, mode, key)
 
     def _live_words(self):
-        return [nd.word for nd in self.tree.configuration().nodes[1:]
-                if not nd.flags.perm_disabled]
+        perm = bits_of(self.tree, "perm")
+        return [v for i, v in enumerate(words_of(self.tree)) if i and not perm[i]]
 
     @rule(data=st.data())
     def run(self, data):
@@ -46,10 +47,9 @@ class ReusedTree(RuleBasedStateMachine):
             got = search(self.tree, key, collect_matches=True)
             assert got == object_search(self.twin, key, self.tree.occupied)
             assert got.found == oracle_search(self._live_words(), key)
-            nodes = self.tree.configuration().nodes
+            words, perm = words_of(self.tree), bits_of(self.tree, "perm")
             assert got.matched_nodes == {
-                i for i in self.tree.occupied
-                if not nodes[i].flags.perm_disabled and nodes[i].word == key}
+                i for i in self.tree.occupied if not perm[i] and words[i] == key}
         else:
             which = "max" if self.mode is Mode.MAX else "min"
             compute = compute_max if self.mode is Mode.MAX else compute_min
@@ -68,7 +68,7 @@ class ReusedTree(RuleBasedStateMachine):
     @invariant()
     def same_state(self):
         if hasattr(self, "tree"):
-            assert full_state(self.tree.configuration()) == full_state(self.twin)
+            assert data_planes(self.tree) == spec_planes(self.twin)
 
 
 ReusedTree.TestCase.settings = settings(max_examples=60, stateful_step_count=12,

@@ -43,8 +43,7 @@ class TestNodeCount:
     @given(st.integers(1, 4), st.integers(1, 8))
     def test_matches_construction(self, eta, height):
         topo = build_topology(TreeParams(eta, height, 4))
-        assert topo.n == node_count(eta, height)
-        assert len(topo.parent_of) == topo.n
+        assert topo.n == node_count(eta, height) == len(_breadth_first(eta, height))
 
 
 class TestRequiredHeight:
@@ -72,48 +71,50 @@ class TestBuildTopology:
     def test_degenerate_single_root(self):
         topo = build_topology(TreeParams(2, 1, 4))
         assert topo.n == 1
-        assert topo.children_of[0] == ()
-        assert topo.role_of[0] is Role.ROOT
-        assert topo.leaves == ()
+        assert topo.children(0) == range(0)
+        assert topo.parent(0) == (-1, 0)
+        assert topo.role(topo.depth(0)) is Role.ROOT
 
     def test_example_tree(self):
         topo = cached_topology(2, 3, 4)
         assert topo.n == 10
-        assert topo.children_of[0] == (1, 2, 3)
+        assert topo.children(0) == range(1, 4)
         for mid in (1, 2, 3):
-            assert len(topo.children_of[mid]) == 2
-            assert topo.role_of[mid] is Role.INTERMEDIATE
-        assert topo.leaves == (4, 5, 6, 7, 8, 9)
+            assert len(topo.children(mid)) == 2
+            assert topo.role(topo.depth(mid)) is Role.INTERMEDIATE
+        leaves = [i for i in range(10) if topo.role(topo.depth(i)) is Role.LEAF]
+        assert leaves == [4, 5, 6, 7, 8, 9]
 
     def test_height_four(self):
         topo = cached_topology(2, 4, 4)
         assert topo.n == 22
-        assert len(topo.leaves) == 12
-        assert all(topo.depth_of[leaf] == 3 for leaf in topo.leaves)
+        leaves = [i for i in range(22) if not topo.children(i)]
+        assert len(leaves) == 12
+        assert all(topo.depth(leaf) == 3 for leaf in leaves)
 
     @given(st.integers(1, 4), st.integers(2, 6))
     def test_invariants(self, eta, height):
         topo = build_topology(TreeParams(eta, height, 4))
-        assert len(topo.children_of[0]) == eta + 1
+        assert len(topo.children(0)) == eta + 1
         for i in range(topo.n):
-            role = topo.role_of[i]
-            kids = topo.children_of[i]
+            role = topo.role(topo.depth(i))
+            kids = topo.children(i)
             if role is Role.ROOT:
-                assert topo.parent_of[i] == -1
+                assert topo.parent(i) == (-1, 0)
             else:
-                p = topo.parent_of[i]
-                assert topo.children_of[p][topo.parent_slot[i]] == i
-                assert topo.depth_of[i] == topo.depth_of[p] + 1
+                p, slot = topo.parent(i)
+                assert topo.children(p)[slot] == i
+                assert topo.depth(i) == topo.depth(p) + 1
             if role is Role.INTERMEDIATE:
                 assert len(kids) == eta
             if role is Role.LEAF:
-                assert kids == ()
-                assert topo.depth_of[i] == height - 1
+                assert not kids
+                assert topo.depth(i) == height - 1
             if kids:
-                depths = {topo.depth_of[c] for c in kids}
+                depths = {topo.depth(c) for c in kids}
                 assert len(depths) == 1
-            for c in kids:
-                assert topo.parent_of[c] == i
+            for s, c in enumerate(kids):
+                assert topo.parent(c) == (i, s)
 
     def test_tree_just_past_the_node_cap_is_refused(self):
         height = MAX_NODES // 2 + 1  # eta=1 trees have 2h - 1 nodes
@@ -128,15 +129,15 @@ class TestBuildTopology:
 
     def test_breadth_first_ids_are_dense_and_ordered(self):
         topo = cached_topology(3, 4, 4)
-        by_depth = [topo.depth_of[i] for i in range(topo.n)]
+        by_depth = [topo.depth(i) for i in range(topo.n)]
         assert by_depth == sorted(by_depth)
 
 
 @lru_cache(maxsize=64)
-def _breadth_first(eta: int, height: int) -> dict:
-    """The per-node tables of an eager breadth-first construction: the
-    frontier of each level hands out consecutive ids to its nodes'
-    children, left to right."""
+def _breadth_first(eta: int, height: int) -> tuple[tuple, ...]:
+    """Per node, the (parent, child slot), children, role and depth of an
+    eager breadth-first construction: the frontier of each level hands out
+    consecutive ids to its nodes' children, left to right."""
     n = node_count(eta, height)
     parent, children = [-1] * n, [()] * n
     role, depth, slot = [Role.LEAF] * n, [0] * n, [0] * n
@@ -156,9 +157,7 @@ def _breadth_first(eta: int, height: int) -> dict:
             new_frontier.extend(kids)
         frontier = new_frontier
     assert next_id == n
-    return {"parent_of": tuple(parent), "children_of": tuple(children),
-            "role_of": tuple(role), "depth_of": tuple(depth), "parent_slot": tuple(slot),
-            "leaves": tuple(i for i in range(n) if role[i] is Role.LEAF)}
+    return tuple(zip(zip(parent, slot), children, role, depth))
 
 
 def _reference_layout(eta: int, height: int):
@@ -192,11 +191,12 @@ class TestArithmetic:
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 4), st.integers(1, 12))
-    def test_lazy_tables_equal_an_eager_build(self, eta, height):
+    def test_parent_and_children_equal_an_eager_build(self, eta, height):
         assume(node_count(eta, height) <= 40_000)
         topo = build_topology(TreeParams(eta, height, 4))
-        assert "children_of" not in vars(topo)  # nothing per node until asked
-        for name, table in _breadth_first(eta, height).items():
-            assert getattr(topo, name) == table, name
-        assert [topo.fanout(d) for d in topo.depth_of] == list(map(len, topo.children_of))
-        assert [topo.role(d) for d in topo.depth_of] == list(topo.role_of)
+        assert set(vars(topo)) == {"params", "n", "offsets"}  # nothing per node
+        for i, (parent, children, role, depth) in enumerate(_breadth_first(eta, height)):
+            assert topo.parent(i) == parent, i
+            assert tuple(topo.children(i)) == children, i
+            d = topo.depth(i)
+            assert (topo.role(d), d, topo.fanout(d)) == (role, depth, len(children)), i
