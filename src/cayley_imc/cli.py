@@ -2,8 +2,9 @@
 
 Subcommands: search, max, min, sort (run a scheme and verify against the
 oracle), info (topology arithmetic), trace (verify a previously written
-trace file by replaying it), bench (compare sort cycle counts with the
-classic comparison sorts).
+trace file by replaying it, with ``tracefile.verify``, and print the
+result), bench (compare sort cycle counts with the classic comparison
+sorts).
 
 Exit status: 0 on success, 2 when the simulator and the oracle disagree,
 1 on any other error.
@@ -23,7 +24,7 @@ from . import algorithms, engine, oracle
 from .node import Mode
 from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        level_sizes, node_count, required_height)
-from .tracefile import Recorder, parse_trace, replay_text, tree_from_events
+from .tracefile import Divergence, Recorder, verify
 
 __all__ = ["main", "parse_input"]
 
@@ -234,49 +235,18 @@ def _run_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _replay(meta: dict, events: list[dict]) -> list[str]:
-    """Rebuild a segment's cycle-0 tree, rerun it, and return its event lines."""
-    tree = tree_from_events(meta, events)
-    out: list[str] = []
-    tree.run(tree.mode, phase1_only=tree.phase1_only,
-             on_step=Recorder(lambda text: out.extend(text.splitlines())))
-    return out[1:]  # after the header
-
-
 def _run_trace_verify(args: argparse.Namespace) -> int:
-    """Replay each trace segment from its cycle-0 snapshot and compare.
-
-    A file that is the text the replay writes, blank lines and comments
-    aside, matches as a run plus a string comparison (``replay_text``).
-    On any other difference or error its lines are parsed and compared
-    record by record, so a reformatted but equal file still matches, and
-    errors and divergences are reported from there.
-    """
+    """Verify a trace file with ``tracefile.verify``; print the summary, or
+    the divergence report with exit status 2."""
     with open(args.trace_file, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        n_segments, total = replay_text(text)
-    except Exception:  # the parsed comparison below raises or reports it again
-        n_segments = 0
+        n_segments, total = verify(text)
+    except Divergence as exc:
+        print(exc)
+        return EXIT_DIVERGENCE
     if not n_segments:
-        segments = parse_trace(text.split("\n"))
-        if not segments:
-            raise InputError(f"{args.trace_file}: no trace segments found")
-        for seg_idx, (meta, events) in enumerate(segments):
-            replayed = list(map(json.loads, _replay(meta, events)))
-            if replayed != events:
-                print(f"trace: segment {seg_idx} diverges from replay")
-                for i, (a, b) in enumerate(zip(events, replayed)):
-                    if a != b:
-                        print(f"  first difference at event {i}:")
-                        print(f"    recorded: {json.dumps(a, separators=(',', ':'))}")
-                        print(f"    replayed: {json.dumps(b, separators=(',', ':'))}")
-                        break
-                else:
-                    print(f"  recorded {len(events)} events, replay produced "
-                          f"{len(replayed)}")
-                return EXIT_DIVERGENCE
-        n_segments, total = len(segments), sum(len(events) for _, events in segments)
+        raise InputError(f"{args.trace_file}: no trace segments found")
     print(f"trace: {n_segments} segment(s), {total} events, replay matches")
     return EXIT_OK
 

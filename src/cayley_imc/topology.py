@@ -114,8 +114,6 @@ def required_height(eta: int, list_len: int) -> int:
     node_count(eta, h) - 1 slots.  Heights below 2 have no slots at all;
     the smallest usable tree is returned even for empty lists.
     """
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
     if list_len < 0:
         raise ValueError(f"list_len must be >= 0, got {list_len}")
     h = 2

@@ -1,5 +1,5 @@
-"""Trace files: the segment header, the recorder, and replay, as text or
-parsed.
+"""Trace files: the segment header, the recorder, and ``verify``, which
+replays a file as text, or parsed where the text differs.
 
 A trace file is a stream of one-line JSON ``TraceEvent``s.  Each run
 segment is preceded by a '#'-prefixed header recording the run parameters,
@@ -10,6 +10,7 @@ checks every field it reads; replay as text needs no check of its own.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from itertools import repeat, takewhile
@@ -19,18 +20,19 @@ from .node import Mode
 from .planes import LoadedTree, _unpack
 from .topology import CayleyTopology, TreeParams, build_topology, node_count
 
-__all__ = ["trace_header", "Recorder", "replay_text", "parse_trace", "tree_from_events"]
+__all__ = ["trace_header", "Recorder", "Divergence", "verify", "parse_trace", "tree_from_events"]
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 _UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
-# A segment's cycle-0 lines, and the two fields of each a rebuild reads, as
-# the recorder writes them; compiled on first use (``re`` caches them).
-_CYCLE0_LINES = r'(?:\{"cycle":0,[^\n]*\n)*'
+# A blank line, or a '#' line that is not a header: the lines ``parse_trace``
+# skips.  Patterns are compiled on first use (``re`` caches them).
+_NOTE = r'[^\S\n]*(?:#(?!' + re.escape(_HEADER_PREFIX[1:]) + r')[^\n]*)?'
+_SKIPPED = r'\n' + _NOTE + r'(?=\n)'  # with the newline before it
+# A segment's cycle-0 lines, notes among them, and the two fields of each a
+# rebuild reads, as the recorder writes them.
+_CYCLE0_LINES = r'(?:(?:\{"cycle":0,[^\n]*|' + _NOTE + r')\n)*'
 _CYCLE0_FIELDS = (r'"word":([0-9]+),"state":[01],"start":[01],"match":[01],"l_m":[01],'
                   r'"l_children":\[[01,]*\],"perm_disabled":([01]),')
-# A blank line, or a '#' line that is not a header, with the newline before
-# it: the lines ``parse_trace`` skips.
-_SKIPPED = r'\n[^\S\n]*(?:#(?!' + re.escape(_HEADER_PREFIX[1:]) + r')[^\n]*)?(?=\n)'
 
 
 def trace_header(tree) -> str:
@@ -101,34 +103,62 @@ class Recorder:
         self.write(text + ("\n" + head).join(self.tails) + "\n")
 
 
-def replay_text(text: str) -> tuple[int, int]:
-    """Replay each segment of a trace file's ``text``, comparing every chunk
-    the recorder writes with the text where it stands; return the numbers
-    of segments and events, or raise ValueError at the first difference.
-    A text that differs is replayed once more without the blank lines and
-    comments ``parse_trace`` skips, so a byte-equal text pays nothing for
-    them.  Only headers are parsed: the replay writes them and every cycle-0
-    line itself, so a match needs no field check."""
-    try:
-        return _replay_segments(text)
-    except ValueError:
-        kept = re.compile(_SKIPPED).sub("", f"\n{text}\n")[1:]  # every line between newlines
-        if kept == text:
-            raise
-        return _replay_segments(kept)
+class Divergence(Exception):
+    """A trace that differs from its replay; not a ValueError, which marks a bad file."""
 
 
-def _replay_segments(text: str) -> tuple[int, int]:
+def verify(text: str) -> tuple[int, int]:
+    """Replay each segment of a trace file's ``text``; return the numbers of
+    segments and events, or raise ``Divergence``, or ValueError on a bad
+    file.  A text that is not the replay's is parsed and compared record by
+    record, and errors and divergences are reported from there."""
+    with contextlib.suppress(Exception):  # the parsed comparison raises or reports it again
+        return _replay_text(text)
+    segments = parse_trace(text.split("\n"))
+    for seg_idx, (meta, events) in enumerate(segments):
+        tree, out = tree_from_events(meta, events), []
+        tree.run(tree.mode, phase1_only=tree.phase1_only,
+                 on_step=Recorder(lambda chunk: out.extend(chunk.splitlines())))
+        replayed = list(map(json.loads, out[1:]))  # after the header
+        if replayed != events:
+            report = [f"trace: segment {seg_idx} diverges from replay"]
+            for i, (a, b) in enumerate(zip(events, replayed)):
+                if a != b:
+                    report += [f"  first difference at event {i}:",
+                               f"    recorded: {json.dumps(a, separators=(',', ':'))}",
+                               f"    replayed: {json.dumps(b, separators=(',', ':'))}"]
+                    break
+            else:
+                report.append(f"  recorded {len(events)} events, replay produced {len(replayed)}")
+            raise Divergence("\n".join(report))
+    return len(segments), sum(len(events) for _, events in segments)
+
+
+def _replay_text(text: str) -> tuple[int, int]:
+    """Replay each segment, comparing every chunk the recorder writes with
+    the text where it stands; raise ValueError at the first difference.
+    A miss drops the lines ``parse_trace`` skips from the rest of the text
+    and compares again.  Only headers are parsed: the replay writes them
+    and every cycle-0 line itself."""
     pos = segments = events = 0
+
+    def at(chunk: str) -> bool:
+        nonlocal text, pos
+        if not text.startswith(chunk, pos):  # after one drop, a later one drops nothing
+            # The rest, between newlines so its first and last lines go too.
+            text, pos = re.compile(_SKIPPED).sub("", f"\n{text[pos:]}\n"), 1
+        return text.startswith(chunk, pos)
 
     def compare(chunk: str) -> None:
         nonlocal pos
-        if not text.startswith(chunk, pos):
+        if not at(chunk):
             raise ValueError("trace text differs from its replay")
         pos += len(chunk)
 
     while pos < len(text) or not segments:  # each segment's first chunk starts with its header
-        if not text.startswith(_HEADER_PREFIX, pos):
+        if not at(_HEADER_PREFIX):
+            if segments and pos == len(text):  # only dropped lines were left
+                break
             raise ValueError("trace text has no segment header where its replay has one")
         start = text.index("\n", pos) + 1
         meta = json.loads(text[pos + len(_HEADER_PREFIX):start - 1])
@@ -147,7 +177,6 @@ def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
     """Split a trace stream into (header meta, event dict) segments, each
     line stripped; blank lines and other '#' lines are skipped."""
     segments: list[tuple[dict, list]] = []
-    lineno = 0
     try:
         for lineno, line in enumerate(map(str.strip, lines), start=1):
             if line.startswith(_HEADER_PREFIX):

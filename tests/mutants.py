@@ -1,0 +1,148 @@
+"""Mutation catalogue: small edits to the package that the tests must catch.
+
+Run from anywhere:  python tests/mutants.py
+
+Each entry names a file under ``src/cayley_imc``, an old text that must
+occur in it exactly once, the new text that replaces it, and the test
+selection (pytest node ids, space-separated) that must then fail.  For each
+entry the script copies ``src/`` to a temporary directory, applies the
+edit there and runs ``pytest -x -q`` on the selection with ``PYTHONPATH``
+pointing at the copy.  It exits non-zero if any mutant survives, or if an
+entry's old text does not occur exactly once, so the catalogue stays in
+step with the code.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_FUZZ = "tests/test_fuzz_cli.py"
+_AS_TEXT = (f"{_FUZZ}::test_annotated_trace_is_matched_as_text "
+            f"{_FUZZ}::test_a_lone_note_is_matched_as_text")
+_TRACE = "tests/test_cli.py::TestTrace"
+_REFUSED = "tests/test_planes.py::test_bad_loads_and_runs_are_refused"
+_USAGE = "tests/test_cli.py::test_usage_errors_exit_1_with_one_line"
+_PLANES = "tests/test_planes.py"
+_SHAPES = "tests/test_topology.py::TestBuildTopology::test_bad_shapes_are_refused"
+
+# (file, old text, new text, test selection)
+MUTANTS = [
+    # The trace verifier.  The annotation lines are never dropped:
+    ("tracefile.py", "if not text.startswith(chunk, pos):  # after one drop",
+     "if False:  # after one drop", _AS_TEXT),
+    # ... or not at a segment header:
+    ("tracefile.py", "if not at(_HEADER_PREFIX):",
+     "if not text.startswith(_HEADER_PREFIX, pos):", _AS_TEXT),
+    # ... and the rebuild does not read the cycle-0 lines around them:
+    ("tracefile.py", "|' + _NOTE + r')\\n)*'", ")\\n)*'", _AS_TEXT),
+    # Notes after the last segment are not its end:
+    ("tracefile.py", "            if segments and pos == len(text):  # only dropped lines were left\n"
+                     "                break\n", "", _AS_TEXT),
+    # A comparison that always passes:
+    ("tracefile.py", "        if not at(chunk):\n", "        if False:\n", _TRACE),
+    # A divergence that is never raised:
+    ("tracefile.py", 'raise Divergence("\\n".join(report))', "pass", _TRACE),
+    # ... or that exits 0:
+    ("cli.py", "        print(exc)\n        return EXIT_DIVERGENCE", "        print(exc)\n        return EXIT_OK",
+     _TRACE),
+    # The recorder rotates words the wrong way:
+    ("tracefile.py", "(v << r | v >> w - r) & mask", "(v >> r | v << w - r) & mask",
+     _TRACE),
+    # The text replay ignores phase1_only, and so does the parsed rebuild:
+    ("tracefile.py", "tree.run(mode, phase1_only=phase1_only, on_step=Recorder(compare))",
+     "tree.run(mode, on_step=Recorder(compare))", _AS_TEXT),
+    ("tracefile.py", "    tree.phase1_only = phase1_only\n", "",
+     f"{_FUZZ}::test_reformatted_equal_trace_still_matches"),
+    # Rebuild checks: the cycle-0 lines are not counted before building, a
+    # header that is not an object reaches the field checks, and a word out
+    # of range is left to the load, whose message names no node.
+    ("tracefile.py", "    if cycle0 != n:", "    if False:", _TRACE),
+    ("tracefile.py", "    if not isinstance(meta, dict):", "    if False:", _TRACE),
+    ("tracefile.py", "        if not 0 <= word < 1 << w:", "        if False:", _TRACE),
+    # The plane engine against its specification.  COMBINE cuts no links:
+    ("planes.py", "lv.links |= s * lv.spread & ~kids", "lv.links |= 0", _PLANES),
+    # KEY reads key bit j + 1:
+    ("planes.py", "lv, j = levels[d], t - d - 1", "lv, j = levels[d], min(t - d, w - 1)", _PLANES),
+    # A leaf sends its bit through a cut memory link:
+    ("planes.py", "lv.state = msb | lv.link_mem if inv else msb & ~lv.link_mem", "lv.state = msb",
+     _PLANES),
+    # FIRST keeps no phase-1 match:
+    ("planes.py", "lv.phase1_match = lv.match", "pass", _PLANES),
+    # rearm does not raise link_mem from perm:
+    ("planes.py", "lv.link_mem, lv.links, lv.rot, lv.phase1_match, lv.state = lv.perm,",
+     "lv.link_mem, lv.links, lv.rot, lv.phase1_match, lv.state = 0,", _PLANES),
+    # A searching level's clock runs one cycle late:
+    ("planes.py", "                tau = cycle - d\n", "                tau = cycle - d - 1\n", _PLANES),
+    # The key stage ends a cycle early:
+    ("planes.py", "(_KEY, 1, w, 1, last)", "(_KEY, 1, w - 1, 1, last)", _PLANES),
+    # _pack takes the byte lanes low first, and _gather the slots in reverse:
+    ("planes.py", "for lane in range(top, -1, -1):", "for lane in range(top + 1):", _PLANES),
+    ("planes.py", "    for s in range(k):\n        values += get(level[s::k])",
+     "    for s in reversed(range(k)):\n        values += get(level[s::k])", _PLANES),
+    # locate swaps a node's slot and its parent's index:
+    ("topology.py", "index, slot = divmod(index, self.fanout(e - 1))",
+     "slot, index = divmod(index, self.fanout(e - 1))", "tests/test_topology.py " + _PLANES),
+    # Refusals of the library.
+    ("algorithms.py", "    if len(elements) > topo.n - 1:", "    if False:", _REFUSED),
+    ("algorithms.py", "    if topo.params.height < 2:", "    if False:", _REFUSED),
+    ("algorithms.py", "    if mode not in (Mode.SEARCH, Mode.MAX, Mode.MIN):", "    if False:", _REFUSED),
+    ("algorithms.py", "        if not 0 <= key < limit:", "        if False:", _REFUSED),
+    ("algorithms.py", 'raise ValueError(f"unknown scheme {scheme!r}")', "return 0", _REFUSED),
+    ("planes.py", "        if mode is Mode.IDLE:", "        if False:", _REFUSED),
+    ("topology.py", "        if self.eta < 1:", "        if False:", _SHAPES),
+    ("topology.py", "        if self.height < 1:", "        if False:", _SHAPES),
+    ("topology.py", "    if list_len < 0:", "    if False:", _SHAPES),
+    # An empty sort loads nothing, so a lone root is no error:
+    ("algorithms.py", "        return SortResult(output=[], cycles_total=0, rounds=0, per_round_cycles=[])",
+     "        pass", "tests/test_sort.py::test_empty_list"),
+    # Refusals and output of the command line.
+    ("cli.py", "    if args.input and args.list:", "    if False:", _USAGE),
+    ("cli.py", '        raise InputError("info needs --height or an input list")', "        pass", _USAGE),
+    ("cli.py", "        if not 0 <= key < limit:", "        if False:", _USAGE),
+    ("cli.py", '        pairs.insert(6, ("elements", n_elements))', "        pass",
+     "tests/test_cli.py::TestInfo"),
+    ("cli.py", '            pairs.append(("oracle_detail", report.detail))', "            pass",
+     "tests/test_cli.py::TestSchemeCommands::test_divergence_exit_code"),
+    ("cli.py", "                return EXIT_DIVERGENCE\n", "                pass\n",
+     "tests/test_cli.py::TestBench"),
+]
+
+
+def _killed(tmp: Path, file: str, old: str, new: str, tests: str) -> str | None:
+    """Apply one mutant to a fresh copy of ``src/``; None if its tests
+    fail, else why it counts as surviving."""
+    text = (ROOT / "src" / "cayley_imc" / file).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times"
+    shutil.rmtree(tmp / "src", ignore_errors=True)
+    shutil.copytree(ROOT / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp / "src" / "cayley_imc" / file).write_text(text.replace(old, new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests.split()],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    # Exit status 1 is a failed test; any other is a pass or a broken selection.
+    return None if run.returncode == 1 else f"pytest exit status {run.returncode}"
+
+
+def main() -> int:
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, old, new, tests in MUTANTS:
+            why = _killed(Path(tmp), file, old, new, tests)
+            survived += why is not None
+            where = old.strip().splitlines()[0]
+            print(f"{'killed' if why is None else 'SURVIVED (' + why + ')'}  {file}: {where}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

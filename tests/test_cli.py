@@ -139,6 +139,7 @@ class TestSchemeCommands:
             capsys, "search", "--list", "5", "--key", "5", "--word-size", "4")
         assert status == 2
         assert "DIVERGENCE" in out
+        assert "oracle_detail: " in out
 
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "list.txt"
@@ -193,6 +194,7 @@ class TestInfo:
         status, out, _ = run_cli(capsys, "info", "--list", "1,2,3,4")
         assert status == 0
         assert "height: 3" in out
+        assert "elements: 4" in out
 
 
 class TestTrace:
@@ -390,6 +392,9 @@ class TestTrace:
         ({"word_size": MAX_WORD_SIZE + 1}, None, "word_size"),
         # a max leaf starts the run with start 1
         (None, {"start": 0}, "not the max reset state of a leaf"),
+        ([1], None, "trace header is not a JSON object"),
+        # named by the rebuild, before the load would refuse it as an element
+        (None, {"word": 17}, "cycle-0 event of node 1: word 17 out of range"),
     ])
     def test_bad_header_or_cycle0_event_rejected(self, capsys, tmp_path,
                                                   header, edit, needle):
@@ -400,7 +405,7 @@ class TestTrace:
         prefix = "# cayley-imc-trace "
         if header is not None:
             meta = json.loads(lines[0][len(prefix):])
-            meta.update(header)
+            meta = {**meta, **header} if isinstance(header, dict) else header
             lines[0] = prefix + json.dumps(meta)
         if edit is not None:
             event = json.loads(lines[2])  # node 1, a leaf, at cycle 0
@@ -495,6 +500,10 @@ def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     ((), "required"),
     (("max", "--list", "1", "--bogus", "a\nb"), "unrecognized arguments"),
     (("bench", "--sizes", "4,x"), "--sizes"),
+    (("max", "--input", "list.txt", "--list", "1"), "give either --input or --list, not both"),
+    (("info",), "info needs --height or an input list"),
+    (("search", "--list", "1", "--key", "16", "--word-size", "4"),
+     "--key 16 does not fit in a 4-bit word"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)
@@ -528,6 +537,12 @@ class TestBench:
         assert lines[0].split()[:4] == ["size", "algorithm", "cycles", "comparisons"]
         assert sum("in-memory" in line for line in lines) == 2
         assert sum("radix" in line for line in lines) == 2
+
+    def test_bench_divergence_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.oracle, "run_baseline", lambda name, elements: ([], 0))
+        status, out, _ = run_cli(capsys, "bench", "--sizes", "6", "--seed", "4")
+        assert status == 2
+        assert out == "bench: insertion disagrees with in-memory sort on size 6\n"
 
 
 def test_cli_determinism_byte_identical(capsys):

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_imc import cli, tracefile
+from cayley_imc import cli, planes, tracefile
 
 _HEADER_PREFIX = "# cayley-imc-trace "
 
@@ -159,7 +159,7 @@ def _refuse(*args, **kwargs):
 
 def _replay_parsed_only(content: bytes):
     """Replay with the whole-text comparison switched off."""
-    with mock.patch.object(cli, "replay_text", _refuse):
+    with mock.patch.object(tracefile, "_replay_text", _refuse):
         return _replay(content)
 
 
@@ -221,20 +221,29 @@ def test_text_first_replay_reports_what_the_parsed_comparison_reports(kind, edit
 
 def _assert_matched_as_text(lines, headers):
     """The trace ``lines`` match their replay with the parsed comparison
-    switched off, and only the ``headers`` reach ``json.loads``."""
+    switched off, only the ``headers`` reach ``json.loads``, and each
+    segment is run once."""
     content = "\n".join(lines).encode() + b"\n"
     parsed, loads = [], json.loads
+    runs, run = [], planes.LoadedTree.run
 
     def spy(text, *args, **kwargs):
         parsed.append(text)
         return loads(text, *args, **kwargs)
 
-    # tracefile and cli both call the json module's loads.
+    def counted(tree, *args, **kwargs):
+        runs.append(tree)
+        return run(tree, *args, **kwargs)
+
+    # tracefile calls the json module's loads; cli imports the same module.
     assert tracefile.json is cli.json is json
-    with mock.patch.object(cli, "parse_trace", _refuse), mock.patch.object(json, "loads", spy):
+    with mock.patch.object(tracefile, "parse_trace", _refuse), \
+            mock.patch.object(json, "loads", spy), \
+            mock.patch.object(planes.LoadedTree, "run", counted):
         status, out, err = _replay(content)
     assert (status, err) == (0, "") and out.endswith(" replay matches\n"), (out, err)
     assert parsed == [line[len(_HEADER_PREFIX):] for line in headers]
+    assert len(runs) == len(headers)
 
 
 def _headers(lines):
@@ -253,6 +262,16 @@ def test_annotated_trace_is_matched_as_text(kind):
     lines = list(_recorded_trace(kind))
     annotated = ["# a note"] + lines[:3] + [""] + lines[3:] + ["  # the end"]
     _assert_matched_as_text(annotated, _headers(lines))
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))
+@pytest.mark.parametrize("place", ["cycle0", "end"])
+def test_a_lone_note_is_matched_as_text(kind, place):
+    # The first miss is at the note: among the cycle-0 lines, which the
+    # rebuild reads around it, or after the last segment, which it ends.
+    lines = list(_recorded_trace(kind))
+    at = 2 if place == "cycle0" else len(lines)
+    _assert_matched_as_text(lines[:at] + ["# a note"] + lines[at:], _headers(lines))
 
 
 @pytest.mark.parametrize("kind", sorted(_TRACE_RUNS))

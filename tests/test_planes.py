@@ -15,7 +15,8 @@ from functools import partial
 
 import pytest
 
-from cayley_imc.algorithms import compute_max, compute_min, load_list, search, sort
+from cayley_imc.algorithms import (compute_max, compute_min, load_list, resource_report,
+                                   search, sort)
 from cayley_imc.engine import (
     ProtocolError,
     QuiescenceError,
@@ -30,6 +31,7 @@ from cayley_imc.engine import (
 from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_search, oracle_sort_desc
 from cayley_imc.planes import LoadedTree, _schedule
+from cayley_imc.topology import TreeParams
 from cayley_imc.tracefile import Recorder, trace_header
 
 from conftest import (cached_topology, data_planes, disable, loaded_by_nodes, object_extremum,
@@ -281,6 +283,24 @@ def test_a_bad_element_is_named_first_in_list_order(w):
                 with pytest.raises(ValueError) as info:
                     load_list(topo, els, mode, key=0)
                 assert str(info.value) == f"element {x} out of range [0, 2^{w})", els
+
+
+@pytest.mark.parametrize("call,message", [
+    # Without the slot check the surplus would be dropped: the max of
+    # [1, 2, 3, 9, 9] would read 3, and a search for 9 would miss.
+    (lambda: load_list(cached_topology(2, 2, 4), [1, 2, 3, 9, 9], Mode.MAX),
+     "5 elements exceed the 3 non-root slots"),
+    (lambda: load_list(cached_topology(2, 1, 4), [], Mode.MAX), "height-1 trees have no data slots"),
+    (lambda: load_list(cached_topology(2, 2, 4), [1], Mode.IDLE), "cannot load a tree for mode"),
+    (lambda: load_list(cached_topology(2, 2, 4), [1], Mode.SEARCH, key=16),
+     r"key 16 out of range \[0, 2\^4\)"),
+    (lambda: load_list(cached_topology(2, 2, 4), [1], Mode.MAX).run(Mode.IDLE),
+     "cannot reset a node into idle mode"),
+    (lambda: resource_report(TreeParams(2, 2, 4), "x"), "unknown scheme 'x'"),
+], ids=["surplus", "height-1", "idle-load", "key-range", "idle-run", "scheme"])
+def test_bad_loads_and_runs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("mode", [Mode.SEARCH, Mode.MAX, Mode.MIN])

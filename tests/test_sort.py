@@ -33,6 +33,7 @@ def test_empty_list(topo_2_3_4):
     assert result.output == []
     assert result.rounds == 0
     assert result.cycles_total == 0
+    assert sort(cached_topology(2, 1, 4), []) == result  # runs nothing, so a lone root will do
 
 
 def test_ascending_option(topo_2_3_4):

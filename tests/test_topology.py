@@ -122,6 +122,16 @@ class TestBuildTopology:
         with pytest.raises(ValueError, match="limit"):
             build_topology(TreeParams(1, height, 4))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: TreeParams(0, 3, 4), "eta must be >= 1, got 0"),
+        (lambda: TreeParams(2, 0, 4), "height must be >= 1, got 0"),
+        (lambda: required_height(0, 3), "eta must be >= 1, got 0"),
+        (lambda: required_height(2, -1), "list_len must be >= 0, got -1"),
+    ], ids=["params-eta", "params-height", "height-eta", "height-length"])
+    def test_bad_shapes_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_word_size_cap(self):
         assert TreeParams(2, 3, MAX_WORD_SIZE).word_size == MAX_WORD_SIZE
         with pytest.raises(ValueError, match="word_size"):
