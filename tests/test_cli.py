@@ -247,6 +247,12 @@ class TestTrace:
          "173fb913cc56b8ee5a740e89d4fefd08319fcf9c1e73c0ac9c2bf943d19a5653"),
         (("max", "--eta", "3", "--seed", "5", "--count", "12", "--word-size", "1"), 12_552,
          "8e9c0ca75bdfd6d0c4bb355584c41b4fbe42f7a8c4282b07278d096b327c5f6b"),
+        # Words in 16-bit fields, and 64-bit words under a fan-out of 9 and 10.
+        (("max", "--seed", "2", "--count", "40", "--word-size", "16"), 158_359,
+         "afda89d07aa4bc139e2d7447c10871aa03590fb727d50faccdcef68b878caa17"),
+        (("search", "--eta", "9", "--seed", "2", "--count", "30", "--word-size", "64",
+          "--key", "11777717384603786643"), 1_117_149,
+         "4bcb87aa48221558a4a723a73a23cf7583ff8032be0a34edb3c5943c03f31758"),
     ])
     def test_trace_bytes_are_pinned(self, capsys, tmp_path, argv, size, digest):
         path = tmp_path / "run.trace"
