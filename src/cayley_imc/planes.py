@@ -84,12 +84,6 @@ def _gather(level: Sequence, parents: list[int], k: int) -> list:
     return values
 
 
-def _unpack(planes: list[int], n: int) -> list[int]:
-    """Per position, the word whose bit j (MSB first) is its bit of ``planes[j]``."""
-    columns = [format(plane, f"0{n}b") for plane in planes]
-    return [int("".join(bits), 2) for bits in zip(*columns)][::-1]
-
-
 def _bits(plane: int, n: int) -> bytes:
     """The ``n`` low bits of ``plane`` as 0/1 bytes, position 0 first."""
     return format(plane, f"0{n}b").encode().translate(_BITS)[::-1]

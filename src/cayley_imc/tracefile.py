@@ -13,17 +13,20 @@ from __future__ import annotations
 import contextlib
 import json
 import re
-from itertools import repeat, takewhile
+import struct
+from functools import lru_cache
+from itertools import takewhile
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .node import Mode
-from .planes import LoadedTree, _unpack
+from .planes import _BITS, LoadedTree
 from .topology import CayleyTopology, TreeParams, build_topology, node_count
 
 __all__ = ["trace_header", "Recorder", "Divergence", "verify", "parse_trace", "tree_from_events"]
 
 _HEADER_PREFIX = "# cayley-imc-trace "
-_UP = {"0": '{"parent":0}', "1": '{"parent":1}'}
+_DECIMALS = tuple(map(str, range(256)))  # the words of w <= 8 bits
 # A blank line, or a '#' line that is not a header: the lines ``parse_trace``
 # skips.  Patterns are compiled on first use (``re`` caches them).
 _NOTE = r'[^\S\n]*(?:#(?!' + re.escape(_HEADER_PREFIX[1:]) + r')[^\n]*)?'
@@ -43,64 +46,106 @@ def trace_header(tree) -> str:
     return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
 
 
+@lru_cache(maxsize=4)
+def _shape(topo: CayleyTopology) -> tuple[list[str], list[itemgetter]]:
+    """A cycle's four pieces per node (see ``Recorder``) with each node's
+    ``,"node":i,...,"word":`` text in place, and per level the picker that
+    puts a sequence in position order in id order."""
+    parts, picks, offsets = [""] * (4 * topo.n), [], topo.offsets
+    for d, (first, stop, index) in enumerate(zip(offsets, offsets[1:], topo.level_orders())):
+        where = f',"depth":{d},"role":"{topo.role(d).value}","word":'
+        parts[4 * first + 1:4 * stop:4] = [f',"node":{i}{where}' for i in range(first, stop)]
+        order = sorted(range(len(index)), key=index.__getitem__)
+        picks.append(itemgetter(*order) if d else itemgetter(slice(None)))  # a lone root
+    return parts, picks
+
+
+@lru_cache(maxsize=64)
+def _flag_text(start: int, down: int | None, k: int) -> tuple[dict, dict, dict]:
+    """Per code character (bits ``state``, ``match``, ``l_m``, ``perm_disabled``
+    from 0): a level's text up to its child links, after them, and unlinked."""
+    ports = ",".join([f'"c{s}":{down}' for s in range(k)]) if down in (0, 1) else ""
+    heads = {f"{c:x}": f',"state":{c & 1},"start":{start},"match":{c >> 1 & 1},'
+                       f'"l_m":{c >> 2 & 1},"l_children":[' for c in range(16)}
+    ends = {f"{c:x}": f'],"perm_disabled":{c >> 3},"emitted":{{'
+                      + (f'"parent":{c & 1}' if down == 2 else ports) + "}}\n" for c in range(16)}
+    return {c: heads[c] + ",".join("0" * k) + ends[c] for c in heads}, heads, ends
+
+
+def _lookup(table, keys) -> Iterable[str]:
+    """``table[key]`` for each of ``keys``, in one C-level pass."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else [table[keys[0]]]
+
+
 class Recorder:
     """``on_step`` observer of ``LoadedTree.run``: per cycle, one ``write`` of
     the lines ``snapshot(...).to_json()`` gives, read off the planes, after
     the header at cycle 0.  A level whose clock advanced in the cycle sent
     one bit down, in search only (the root while its clock was at most w,
-    others while it is at most w + 1), or else its ``state`` plane up.  A
-    level's lines are rebuilt only when its planes changed, and its word
-    strings only when its rotation did, from its cycle-0 words rotated: only
-    the root's words, which a tournament writes, are unpacked again."""
+    others while it is at most w + 1), or else its ``state`` plane up.
+
+    A cycle's text is one join of four pieces per node in id order: cycle,
+    fixed text, word and flags.  A level's pieces are rebuilt only when its
+    planes changed, by C-level passes: its flag planes, read as hex so a
+    node's bit has a nibble, OR into one code character per node, which
+    picks its flag text from a table; its cycle-0 words, in 8- to 64-bit
+    fields, turn all at once by two masks and two shifts (the root's, which
+    a tournament writes, are read off the planes); its picker puts codes,
+    words and link lists in id order."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
 
     def __call__(self, tree: LoadedTree) -> None:
-        levels, w, search = tree.levels, tree.w, tree.mode is Mode.SEARCH
-        head = text = f'{{"cycle":{tree.cycle}'
+        levels, w, search, text = tree.levels, tree.w, tree.mode is Mode.SEARCH, ""
         if not tree.cycle:
-            layout, role = tree.topo.layout(), tree.topo.role
-            where = [f',"depth":{d},"role":"{role(d).value}","word":' for d in range(len(layout))]
-            self.idents = [[f',"node":{i}{where[d]}' for i in ids] for d, ids in enumerate(layout)]
-            self.order = [sorted(range(len(ids)), key=ids.__getitem__) for ids in layout]
-            self.clocks, self.keys = [0] * len(levels), [None] * len(levels)
-            self.tails, self.words = [""] * tree.topo.n, [(None, None)] * len(levels)
-            self.base = [_unpack(lv.words, lv.n) for lv in levels]  # rot is 0 at cycle 0
-            text = trace_header(tree) + "\n" + head
-        for d, (lv, first) in enumerate(zip(levels, tree.topo.offsets)):
-            n, k, prev = lv.n, lv.k, self.clocks[d]
+            field = "BHIQ"[((w - 1) // 8).bit_length()]  # the narrowest that holds w bits
+            size, n, h = struct.calcsize(field), tree.topo.n, len(levels)
+            words = 0  # field i holds the word at the i-th position of the tree; rot is 0
+            for j in range(w):  # plane j of every level, MSB first
+                bits = "".join([format(lv.words[j], f"0{lv.n}b") for lv in reversed(levels)])
+                spread = bytearray(size * n)
+                spread[size - 1::size] = bits.encode().translate(_BITS)
+                words = words << 1 | int.from_bytes(spread, "big")
+            words, one = words.to_bytes(size * n, "little"), b"\1".ljust(size, b"\0")
+            self.base = [(struct.Struct(f"<{lv.n}{field}"), int.from_bytes(one * lv.n, "little"),
+                          int.from_bytes(words[size * first:size * (first + lv.n)], "little"))
+                         for lv, first in zip(levels, tree.topo.offsets)]
+            parts, self.picks = _shape(tree.topo)
+            self.parts = parts[:]  # the cached pieces stay as they are
+            self.clocks, self.keys, self.kids = [0] * h, [(None,) * 7] * h, [()] * h
+            text = trace_header(tree) + "\n"
+        self.parts[::4] = [f'{{"cycle":{tree.cycle}'] * tree.topo.n
+        for d, (lv, first, pick) in enumerate(zip(levels, tree.topo.offsets, self.picks)):
+            n, k, prev, old = lv.n, lv.k, self.clocks[d], self.keys[d]
             self.clocks[d] = lv.clock
             down = None  # the bit sent to the children, or 2 for the state plane up
             if lv.clock != prev and d:
                 down = (1 if lv.state else 0) if search and lv.clock <= w + 1 else 2
             elif lv.clock != prev and prev <= w:  # only a searching root's clock moves
                 down = lv.words[prev - 1] if prev else 1
-            key = (lv.rot, lv.state, lv.start, lv.match, lv.link_mem, lv.links, down)
-            if key == self.keys[d]:
+            self.keys[d] = (lv.rot, lv.state, lv.start, lv.match, lv.link_mem, lv.links, down)
+            if self.keys[d] == old:
                 continue
-            self.keys[d] = key
-            state, match, l_m, perm = (format(plane, f"0{n}b")[::-1]
-                                       for plane in (lv.state, lv.match, lv.link_mem, lv.perm))
-            kids = repeat(f"[{','.join('0' * k)}]")
-            if lv.links:
-                bits = format(lv.links, f"0{n * k}b")[::-1]
-                kids = [f"[{','.join(bits[p::n])}]" for p in range(n)]  # slot s at s * n + p
-            ports = ",".join([f'"c{s}":{down}' for s in range(k)]) if down in (0, 1) else ""
-            emitted = map(_UP.__getitem__, state) if down == 2 else repeat("{" + ports + "}")
-            if self.words[d][0] != lv.rot:  # a root write also turns rot
-                r, mask = lv.rot, (1 << w) - 1
-                words = ([(v << r | v >> w - r) & mask for v in self.base[d]] if d
-                         else _unpack(lv.aligned(w), n))
-                self.words[d] = r, list(map(str, words))
-            words = self.words[d][1]
-            mid = f',"start":{lv.start},"match":'
-            tails = [f'{ident}{v},"state":{s}{mid}{m},"l_m":{lm},"l_children":{lc},'
-                     f'"perm_disabled":{p},"emitted":{e}}}'
-                     for ident, v, s, m, lm, lc, p, e in zip(
-                         self.idents[d], words, state, match, l_m, kids, perm, emitted)]
-            self.tails[first:first + n] = map(tails.__getitem__, self.order[d])
-        self.write(text + ("\n" + head).join(self.tails) + "\n")
+            if old[0] != lv.rot:  # a root write also turns rot
+                (fields, ones, x), r = self.base[d], lv.rot
+                x = (x & ((1 << w - r) - 1) * ones) << r | x >> w - r & ((1 << r) - 1) * ones
+                words = pick(fields.unpack(x.to_bytes(fields.size, "little")))
+                words = words if d else [tree.root_word]
+                self.parts[4 * first + 2:4 * (first + n):4] = (
+                    _lookup(_DECIMALS, words) if w <= 8 else map(str, words))
+            code = (int(format(lv.state, "b"), 16) | int(format(lv.match, "b"), 16) << 1
+                    | int(format(lv.link_mem, "b"), 16) << 2 | int(format(lv.perm, "b"), 16) << 3)
+            codes = pick(format(code, f"0{n}x")[::-1])  # position 0 first
+            unlinked, heads, ends = _flag_text(lv.start, down, k)
+            if lv.links and old[5] != lv.links:  # cut since the last rebuild (key[5])
+                bits = format(lv.links, f"0{n * k}b")[::-1]  # slot s, position p: s * n + p
+                self.kids[d] = pick(list(map(",".join, zip(*[bits[s * n:s * n + n]
+                                                             for s in range(k)]))))
+            self.parts[4 * first + 3:4 * (first + n):4] = (
+                map("".join, zip(_lookup(heads, codes), self.kids[d], _lookup(ends, codes)))
+                if lv.links else _lookup(unlinked, codes))
+        self.write(text + "".join(self.parts))
 
 
 class Divergence(Exception):

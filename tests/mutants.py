@@ -5,11 +5,13 @@ Run from anywhere:  python tests/mutants.py
 Each entry names a file under ``src/cayley_imc``, an old text that must
 occur in it exactly once, the new text that replaces it, and the test
 selection (pytest node ids, space-separated) that must then fail.  For each
-entry the script copies ``src/`` to a temporary directory, applies the
-edit there and runs ``pytest -x -q`` on the selection with ``PYTHONPATH``
-pointing at the copy.  It exits non-zero if any mutant survives, or if an
-entry's old text does not occur exactly once, so the catalogue stays in
-step with the code.  Pytest does not collect this file.
+entry the script copies ``src/`` to a temporary directory of its own,
+applies the edit there and runs ``pytest -x -q`` on the selection with
+``PYTHONPATH`` pointing at the copy.  The entries run concurrently, one
+per core, and their results are printed in catalogue order.  The script
+exits non-zero if any mutant survives, or if an entry's old text does not
+occur exactly once, so the catalogue stays in step with the code.  Pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,8 +56,29 @@ MUTANTS = [
     ("cli.py", "        print(exc)\n        return EXIT_DIVERGENCE", "        print(exc)\n        return EXIT_OK",
      _TRACE),
     # The recorder rotates words the wrong way:
-    ("tracefile.py", "(v << r | v >> w - r) & mask", "(v >> r | v << w - r) & mask",
+    ("tracefile.py",
+     "x = (x & ((1 << w - r) - 1) * ones) << r | x >> w - r & ((1 << r) - 1) * ones",
+     "x = x >> r & ((1 << w - r) - 1) * ones | (x & ((1 << r) - 1) * ones) << w - r", _TRACE),
+    # ... keys the root on rot % w, which a write leaves as it is when w = 1:
+    ("tracefile.py",
+     "(lv.rot, lv.state, lv.start, lv.match, lv.link_mem, lv.links, down)\n"
+     "            if self.keys[d] == old:\n                continue\n"
+     "            if old[0] != lv.rot:",
+     "(lv.rot % w, lv.state, lv.start, lv.match, lv.link_mem, lv.links, down)\n"
+     "            if self.keys[d] == old:\n                continue\n"
+     "            if old[0] != lv.rot % w:", _TRACE),
+    # ... swaps match and l_m in the code character:
+    ("tracefile.py",
+     'int(format(lv.match, "b"), 16) << 1\n                    | int(format(lv.link_mem, "b"), 16) << 2',
+     'int(format(lv.match, "b"), 16) << 2\n                    | int(format(lv.link_mem, "b"), 16) << 1',
      _TRACE),
+    # ... keeps a level's lines in position order, not id order:
+    ("tracefile.py", "picks.append(itemgetter(*order) if d",
+     "picks.append(itemgetter(slice(None)) if d", _TRACE),
+    # ... lists child links last slot first:
+    ("tracefile.py", "zip(*[bits[s * n:s * n + n]", "zip(*[bits[(k - 1 - s) * n:(k - s) * n]", _TRACE),
+    # ... reads the code characters from the wrong end:
+    ("tracefile.py", 'pick(format(code, f"0{n}x")[::-1])', 'pick(format(code, f"0{n}x"))', _TRACE),
     # The text replay ignores phase1_only, and so does the parsed rebuild:
     ("tracefile.py", "tree.run(mode, phase1_only=phase1_only, on_step=Recorder(compare))",
      "tree.run(mode, on_step=Recorder(compare))", _AS_TEXT),
@@ -115,31 +139,35 @@ MUTANTS = [
 ]
 
 
-def _killed(tmp: Path, file: str, old: str, new: str, tests: str) -> str | None:
-    """Apply one mutant to a fresh copy of ``src/``; None if its tests
-    fail, else why it counts as surviving."""
+def _killed(entry: tuple[str, str, str, str]) -> str | None:
+    """Apply one mutant to a fresh copy of ``src/`` of its own; None if its
+    tests fail, else why it counts as surviving."""
+    file, old, new, tests = entry
     text = (ROOT / "src" / "cayley_imc" / file).read_text(encoding="utf-8")
     if text.count(old) != 1:
         return f"old text occurs {text.count(old)} times"
-    shutil.rmtree(tmp / "src", ignore_errors=True)
-    shutil.copytree(ROOT / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    (tmp / "src" / "cayley_imc" / file).write_text(text.replace(old, new), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests.split()],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "cayley_imc" / file).write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests.split()],
+            cwd=ROOT, env=env, capture_output=True, text=True)
     # Exit status 1 is a failed test; any other is a pass or a broken selection.
     return None if run.returncode == 1 else f"pytest exit status {run.returncode}"
 
 
 def main() -> int:
+    """Run the entries concurrently, one pytest per core at a time, and
+    print their results in catalogue order."""
     survived = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for file, old, new, tests in MUTANTS:
-            why = _killed(Path(tmp), file, old, new, tests)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for (file, old, _, _), why in zip(MUTANTS, pool.map(_killed, MUTANTS)):
             survived += why is not None
             where = old.strip().splitlines()[0]
-            print(f"{'killed' if why is None else 'SURVIVED (' + why + ')'}  {file}: {where}")
+            print(f"{'killed' if why is None else 'SURVIVED (' + why + ')'}  {file}: {where}",
+                  flush=True)
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 

@@ -124,9 +124,24 @@ def _disable_some(rng, topo, obj, tree):
 
 @pytest.mark.parametrize("eta,h,w", SHAPES)
 def test_every_cycle_matches_the_object_engine(eta, h, w):
+    _every_cycle(eta, h, w, SEEDS)
+
+
+# Words in the recorder's 16-, 32- and 64-bit fields, and fan-outs past the
+# four children of one hex digit.
+@pytest.mark.parametrize("eta,h,w", [(eta, h, w) for w in (9, 16, 17, 33, 64)
+                                     for eta in (1, 2, 3) for h in (2, 3)]
+                         + [(eta, h, 4) for eta in (5, 9) for h in (2, 3)])
+def test_wide_words_and_fanouts_match_the_object_engine(eta, h, w):
+    _every_cycle(eta, h, w, SEEDS[:2])
+
+
+def _every_cycle(eta, h, w, seeds):
+    """Every cycle of a search, its comparison phase alone, a max and a min
+    on random lists, in lockstep with the object engine."""
     topo = cached_topology(eta, h, w)
     limit = 1 << w
-    for seed in SEEDS:
+    for seed in seeds:
         rng = random.Random(f"{seed}:{eta}:{h}:{w}")
         els = random_elements(rng, topo.n - 1, w, max_len=16)
         key = rng.choice(els) if els and rng.random() < 0.5 else rng.randrange(limit)
