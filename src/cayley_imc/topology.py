@@ -40,10 +40,10 @@ _MAX_COUNT = 2**63 - 1
 
 # Caps on what one simulation may allocate.  Loading a list takes about 35
 # bytes per node at its peak and w/8 once loaded, besides the list itself;
-# a traced run peaks at about 510 (w = 8) to 660 (w = 64) bytes per node of
-# trace text, 170 of them the shape's text, which stays cached (CPython
-# 3.11, tracemalloc).  MAX_NODES bounds those near 150 MB and 2.8 GB; a
-# word wider than a machine word has no hardware to model.
+# a traced run peaks at about 480 (w = 8) to 630 (w = 64) bytes per node of
+# trace text and keeps none of it once its recorder is gone (CPython 3.11,
+# tracemalloc).  MAX_NODES bounds those near 150 MB and 2.6 GB; a word
+# wider than a machine word has no hardware to model.
 MAX_NODES = 1 << 22
 MAX_WORD_SIZE = 64
 

@@ -46,7 +46,6 @@ def trace_header(tree) -> str:
     return _HEADER_PREFIX + json.dumps(meta, separators=(",", ":"))
 
 
-@lru_cache(maxsize=4)
 def _shape(topo: CayleyTopology) -> tuple[list[str], list[itemgetter]]:
     """A cycle's four pieces per node (see ``Recorder``) with each node's
     ``,"node":i,...,"word":`` text in place, and per level the picker that
@@ -91,10 +90,11 @@ class Recorder:
     picks its flag text from a table; its cycle-0 words, in 8- to 64-bit
     fields, turn all at once by two masks and two shifts (the root's, which
     a tournament writes, are read off the planes); its picker puts codes,
-    words and link lists in id order."""
+    words and link lists in id order.  Fixed text and pickers are kept for
+    the recorder's next segment only, and only if it has the same shape."""
 
     def __init__(self, write: Callable[[str], object]) -> None:
-        self.write = write
+        self.write, self.topo = write, None
 
     def __call__(self, tree: LoadedTree) -> None:
         levels, w, search, text = tree.levels, tree.w, tree.mode is Mode.SEARCH, ""
@@ -111,8 +111,8 @@ class Recorder:
             self.base = [(struct.Struct(f"<{lv.n}{field}"), int.from_bytes(one * lv.n, "little"),
                           int.from_bytes(words[size * first:size * (first + lv.n)], "little"))
                          for lv, first in zip(levels, tree.topo.offsets)]
-            parts, self.picks = _shape(tree.topo)
-            self.parts = parts[:]  # the cached pieces stay as they are
+            if tree.topo != self.topo:  # a later segment of this shape keeps them
+                self.topo, (self.parts, self.picks) = tree.topo, _shape(tree.topo)
             self.clocks, self.keys, self.kids = [0] * h, [(None,) * 7] * h, [()] * h
             text = trace_header(tree) + "\n"
         self.parts[::4] = [f'{{"cycle":{tree.cycle}'] * tree.topo.n
@@ -185,7 +185,6 @@ def _replay_text(text: str) -> tuple[int, int]:
     A miss drops the lines ``parse_trace`` skips from the rest of the text
     and compares again.  Only headers are parsed: the replay writes them
     and every cycle-0 line itself."""
-    pos = segments = events = 0
 
     def at(chunk: str) -> bool:
         nonlocal text, pos
@@ -200,6 +199,7 @@ def _replay_text(text: str) -> tuple[int, int]:
             raise ValueError("trace text differs from its replay")
         pos += len(chunk)
 
+    record, pos, segments, events = Recorder(compare), 0, 0, 0  # one recorder for all segments
     while pos < len(text) or not segments:  # each segment's first chunk starts with its header
         if not at(_HEADER_PREFIX):
             if segments and pos == len(text):  # only dropped lines were left
@@ -213,7 +213,7 @@ def _replay_text(text: str) -> tuple[int, int]:
         words, perm = zip(*fields)
         tree = LoadedTree.load(topo, mode, int(words[0]), list(map(int, words[1:])), 0,
                                bytes(map(int, perm)))
-        cycles = tree.run(mode, phase1_only=phase1_only, on_step=Recorder(compare))
+        cycles = tree.run(mode, phase1_only=phase1_only, on_step=record)
         segments, events = segments + 1, events + topo.n * (cycles + 1)  # n lines per cycle
     return segments, events
 

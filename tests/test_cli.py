@@ -291,6 +291,27 @@ class TestTrace:
         assert (status, out) == (0, "trace: 8 segment(s), 640 events, replay matches\n")
         assert len(resets) == 2 * 8
 
+    def test_one_file_of_several_shapes_is_matched_as_text(self, capsys, tmp_path, monkeypatch):
+        # The text replay runs every segment through one recorder, which
+        # must rebuild its per-shape text when the shape changes.
+        text = ""
+        for i, argv in enumerate([("max", "--list", "9,1,5,5,3"),
+                                  ("search", "--eta", "3", "--word-size", "16", "--key", "7",
+                                   "--list", "9,1,5,5,3,7,2,8"),
+                                  ("min", "--list", "9,1,5,5,3")]):
+            path = tmp_path / f"{i}.trace"
+            assert run_cli(capsys, *argv, "--trace-out", str(path))[0] == 0, argv
+            text += path.read_text()
+        path.write_text(text)
+
+        def refuse(*args):
+            raise AssertionError("the text replay did not match")
+
+        monkeypatch.setattr(tracefile, "parse_trace", refuse)
+        events = sum(line[0] == "{" for line in text.splitlines())
+        status, out, _ = run_cli(capsys, "trace", str(path))
+        assert (status, out) == (0, f"trace: 3 segment(s), {events} events, replay matches\n")
+
     def test_runs_and_replays_build_no_node_objects(self, capsys, tmp_path, monkeypatch):
         # Node objects are the object engine's, which only the tests run.
         def refuse(*args):
