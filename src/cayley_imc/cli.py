@@ -55,13 +55,20 @@ def parse_input(text: str, word_size: int) -> list[int]:
     size.  Errors report the line and column of the offending token.
     """
     limit = 1 << word_size
-    values: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # One pass over the text with its comment lines blanked.  The scan below
+    # runs only for a bad token or one longer than the limit's digits.
+    lines = text.splitlines()
+    tokens = re.sub(r"(?m)^[^\S\n]*#.*", "", "\n".join(lines)).replace(",", " ").split()
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit() and max(map(len, tokens)) <= len(str(limit)):
+        if max(values := list(map(int, tokens))) < limit:
+            return values
+    values = []
+    for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("#"):
             continue
         for token_match in re.finditer(r"[^\s,]+", line):
-            token = token_match.group()
-            col = token_match.start() + 1
+            token, col = token_match.group(), token_match.start() + 1
             if not (token.isascii() and token.isdigit()):
                 raise InputError(
                     f"line {lineno}, column {col}: {token!r} is not a "

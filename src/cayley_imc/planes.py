@@ -18,8 +18,7 @@ multiplication.  Word rotation is a change of plane index.  The word and
 ``perm_disabled`` planes last from run to run, so a loaded tree is its
 planes and nothing else: no node objects and no per-node table.
 Positions are arithmetic on the ids (see ``CayleyTopology.locate``), and
-``load`` packs each level from its slice of the list with a few C-level
-passes (``_gather`` and ``_pack``).
+``load`` packs the whole tree with a few C-level passes (``_planes``).
 
 The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
@@ -39,9 +38,9 @@ and compare them with the tree's.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
-from operator import and_, itemgetter, rshift
+import sys
+from array import array
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .engine import ProtocolError, _budget_exhausted, default_cycle_budget
@@ -51,37 +50,46 @@ from .topology import CayleyTopology
 __all__ = ["LoadedTree"]
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-# Per bit, the translation of a byte to the digit of that bit.
-_DIGITS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit) for bit in range(8)]
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# The masked swaps of an 8x8 bit transpose of each 8-byte block (Hacker's
+# Delight 7-3): bit r of byte i trades places with bit i of byte r.
+_SWAPS = [(k, m.to_bytes(8, "little"))
+          for k, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))]
 
 
-def _pack(values: list[int], w: int) -> list[int]:
-    """The word planes of ``values``, MSB first, position 0 at the low end:
-    per byte of the words, one ``translate`` to digits and one
-    ``int(..., 2)`` per bit.  A value outside [0, 2^w) raises ValueError:
-    ``bytes`` refuses its top byte, or that byte is too wide."""
-    planes, top = [], (w - 1) // 8
-    for lane in range(top, -1, -1):
-        shifted = map(rshift, values, repeat(8 * lane)) if lane else values
-        raw = bytes(shifted if lane == top else map(and_, shifted, repeat(255)))[::-1]
-        width = w - 8 * top if lane == top else 8
-        if width < 8 and raw.translate(None, bytes(range(1 << width))):
+def _planes(words, flags: bytes, w: int, topo: CayleyTopology) -> tuple[list[int], list[int]]:
+    """Per level, its ``w`` planes of ``words`` (little-endian, in id order),
+    MSB first, and the plane of its 0/1 ``flags``.  Read in C order as an
+    array of its digits (eta + 1, eta, ...; eta = 1 drops its size-1 axes),
+    a level is in position order read in Fortran order (``locate``).  With
+    levels padded to 8 nodes, a byte lane is a strided slice, an 8x8 bit
+    transpose of it gives its planes, and a level is a byte range of each.
+    A word outside [0, 2^w) raises ValueError."""
+    view, eta, offs = memoryview(words), topo.params.eta, topo.offsets
+    code, size, view = view.format, view.itemsize, view.cast("B")
+    digits = [eta + 1] + [eta] * (len(offs) - 3) * (eta > 1)
+    tree, ends, perms, planes = [], [0], [], []
+    for d, (lo, hi) in enumerate(zip(offs, offs[1:])):
+        shape, pad = digits[:d], bytes((lo - hi) % 8 * size)
+        tree += view[lo * size:hi * size].cast(code, shape).tobytes("F"), pad
+        ends.append(ends[-1] + (hi - lo + 7) // 8)
+        perms.append(int(memoryview(flags)[lo:hi].cast("B", shape).tobytes("F")
+                         .translate(_DIGITS)[::-1], 2) if flags.count(1, lo, hi) else 0)
+    tree = b"".join(tree)
+    masks = [(k, int.from_bytes(m * ends[-1], "little")) for k, m in _SWAPS]
+    for b in range(size):
+        lane, width = tree[b::size], min(w - 8 * b, 8)
+        if width < 8 and lane.translate(None, bytes(range(1 << max(width, 0)))):
             raise ValueError("a word is out of range")
-        planes += [int(raw.translate(_DIGITS[bit]), 2) for bit in range(width - 1, -1, -1)]
-    return planes
-
-
-def _gather(level: Sequence, parents: list[int], k: int) -> list:
-    """A level's values, given in breadth-first order, in position order:
-    slot ``s`` of the parent at breadth-first index ``q`` is
-    ``level[q * k + s]``, so each slot is one strided slice taken through
-    ``parents``, the parent level's indices in position order."""
-    if len(parents) == 1:  # the root or its children: positions are breadth-first
-        return list(level)
-    get, values = itemgetter(*parents), []
-    for s in range(k):
-        values += get(level[s::k])
-    return values
+        if width > 0:
+            x = int.from_bytes(lane, "little")
+            for k, m in masks:
+                t = (x ^ x >> k) & m
+                x ^= t ^ t << k
+            lane = x.to_bytes(len(lane), "little")
+            planes[:0] = [lane[r::8] for r in range(width - 1, -1, -1)]
+    return [int.from_bytes(plane[cut], "little") for cut in map(slice, ends, ends[1:])
+            for plane in planes], perms
 
 
 def _bits(plane: int, n: int) -> bytes:
@@ -181,28 +189,23 @@ class LoadedTree:
         """Node 0 holds ``root_word``, nodes 1..len(elements) the elements,
         the rest ``pad_word``; node ``i`` is permanently disabled if
         ``perm_disabled[i]`` is 1.  The tree is left in the reset state of
-        ``mode``.  Each level is gathered from its breadth-first slice of
-        the words and flags; an element outside [0, 2^w) is named by the
-        first one in list order."""
+        ``mode``.  An element outside [0, 2^w) is named by the first one in
+        list order."""
         tree = cls()
-        p, offs = topo.params, topo.offsets
-        tree.topo, tree.w, w = topo, p.word_size, p.word_size
-        tree.occupied, tree.levels = range(1, len(elements) + 1), []
-        words = [root_word, *elements, *repeat(pad_word, topo.n - 1 - len(elements))]
-        orders, parents, k = topo.level_orders(), [0], 1  # the root: slot 0 of one parent
-        for d in range(p.height):
-            lo, n = offs[d], offs[d + 1] - offs[d]
-            flags, perm = perm_disabled[lo:lo + n], 0
-            if 1 in flags:
-                perm = _pack(_gather(flags, parents, k), 1)[0]
-            try:
-                planes = _pack(_gather(words[lo:lo + n], parents, k), w)
-            except ValueError:
-                bad = next(x for x in (*elements, root_word, pad_word) if not 0 <= x < 1 << w)
-                raise ValueError(f"element {bad} out of range [0, 2^{w})") from None
-            k = topo.fanout(d)
-            tree.levels.append(_Level(planes, perm, n, k))
-            parents = next(orders) if k else None
+        offs, w = topo.offsets, topo.params.word_size
+        tree.topo, tree.w, tree.occupied = topo, w, range(1, len(elements) + 1)
+        try:  # 2-byte arrays take a list 3x slower than 4-byte ones
+            pack = bytes if w <= 8 else partial(array, "IQ"[w > 32])
+            words = pack((root_word,)) + pack(elements)
+            words += pack((pad_word,)) * (topo.n - len(words))
+            if w > 8 and sys.byteorder == "big":
+                words.byteswap()
+            bits, perms = _planes(words, perm_disabled, w, topo)
+        except (ValueError, OverflowError):
+            bad = next(x for x in (*elements, root_word, pad_word) if not 0 <= x < 1 << w)
+            raise ValueError(f"element {bad} out of range [0, 2^{w})") from None
+        tree.levels = [_Level(bits[d * w:d * w + w], perm, hi - lo, topo.fanout(d))
+                       for d, (lo, hi, perm) in enumerate(zip(offs, offs[1:], perms))]
         tree.rearm(mode)
         return tree
 

@@ -108,10 +108,21 @@ MUTANTS = [
     ("planes.py", "                tau = cycle - d\n", "                tau = cycle - d - 1\n", _PLANES),
     # The key stage ends a cycle early:
     ("planes.py", "(_KEY, 1, w, 1, last)", "(_KEY, 1, w - 1, 1, last)", _PLANES),
-    # _pack takes the byte lanes low first, and _gather the slots in reverse:
-    ("planes.py", "for lane in range(top, -1, -1):", "for lane in range(top + 1):", _PLANES),
-    ("planes.py", "    for s in range(k):\n        values += get(level[s::k])",
-     "    for s in reversed(range(k)):\n        values += get(level[s::k])", _PLANES),
+    # The load takes the byte lanes in the other byte order:
+    ("planes.py", "lane, width = tree[b::size],", "lane, width = tree[size - 1 - b::size],", _PLANES),
+    # ... puts a level in breadth-first order, not position order:
+    ("planes.py", '.cast(code, shape).tobytes("F")', '.cast(code, shape).tobytes("C")', _PLANES),
+    # ... shifts by 8 in the first round of the bit transpose:
+    ("planes.py", "((7, 0x00AA00AA00AA00AA)", "((8, 0x00AA00AA00AA00AA)", _PLANES),
+    # ... ends a level one byte late when its size is a multiple of 8:
+    ("planes.py", "ends.append(ends[-1] + (hi - lo + 7) // 8)",
+     "ends.append(ends[-1] + (hi - lo) // 8 + 1)", _PLANES),
+    # ... packs the flags last position first, and checks no byte lane's range:
+    ("planes.py", ".translate(_DIGITS)[::-1], 2)", ".translate(_DIGITS), 2)", _PLANES),
+    ("planes.py", "if width < 8 and lane.translate(", "if False and lane.translate(",
+     "tests/test_planes.py::test_a_bad_element_is_named_first_in_list_order"),
+    # ... keeps the size-1 axes of eta = 1, more than a memoryview has past 64 levels:
+    ("planes.py", "[eta] * (len(offs) - 3) * (eta > 1)", "[eta] * (len(offs) - 3)", _PLANES),
     # locate swaps a node's slot and its parent's index:
     ("topology.py", "index, slot = divmod(index, self.fanout(e - 1))",
      "slot, index = divmod(index, self.fanout(e - 1))", "tests/test_topology.py " + _PLANES),
@@ -130,6 +141,9 @@ MUTANTS = [
      "        pass", "tests/test_sort.py::test_empty_list"),
     # Refusals and output of the command line.
     ("cli.py", "    if args.input and args.list:", "    if False:", _USAGE),
+    # parse_input's one pass lets a value equal to the limit through:
+    ("cli.py", "if max(values := list(map(int, tokens))) < limit:",
+     "if max(values := list(map(int, tokens))) <= limit:", "tests/test_cli.py::TestParseInput"),
     ("cli.py", '        raise InputError("info needs --height or an input list")', "        pass", _USAGE),
     ("cli.py", "        if not 0 <= key < limit:", "        if False:", _USAGE),
     ("cli.py", '        pairs.insert(6, ("elements", n_elements))', "        pass",

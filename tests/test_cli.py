@@ -41,6 +41,23 @@ class TestParseInput:
         with pytest.raises(InputError):
             parse_input("-3", 8)
 
+    # The whole-text pass only accepts; the first bad token in text order is
+    # named by its line and column, as splitlines() numbers the lines.
+    @pytest.mark.parametrize("text,message", [
+        ("# 1 x\n2 3\n# y\n4 x5", "line 4, column 3: 'x5' is not a non-negative decimal integer"),
+        ("1\r\n2, 3\r\n\r\n4,y\r\n", "line 4, column 3: 'y' is not a non-negative decimal integer"),
+        ("1\t2,3 ,\t,4,\t z", "line 1, column 14: 'z' is not a non-negative decimal integer"),
+        ("1 2\n3 \u0663", "line 2, column 3: '\u0663' is not a non-negative decimal integer"),
+        ("255,0\n7 256 9999", "line 2, column 3: value 256 does not fit in a 8-bit word (max 255)"),
+    ], ids=["after-comments", "crlf", "tabs-and-commas", "non-ascii-digit", "one-past-limit"])
+    def test_bad_token_is_named_by_line_and_column(self, text, message):
+        with pytest.raises(InputError) as err:
+            parse_input(text, 8)
+        assert str(err.value) == message
+
+    def test_a_comment_ends_at_any_line_break(self):
+        assert parse_input("1\n # 2\r3\x1c#4\n5", 8) == [1, 3, 5]
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))

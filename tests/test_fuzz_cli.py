@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import re
 import tempfile
 from itertools import takewhile
 from unittest import mock
@@ -46,6 +47,43 @@ def test_parse_input_values_fit_or_value_error(text, word_size):
     except ValueError:  # what main turns into exit 1
         return
     assert all(type(v) is int and 0 <= v < 1 << word_size for v in values)
+
+
+def _scan(text, word_size):
+    """The reference for ``parse_input``: each line that is not a comment,
+    each token of it in turn, the first bad token named."""
+    values, limit = [], 1 << word_size
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.lstrip().startswith("#"):
+            for match in re.finditer(r"[^\s,]+", line):
+                token, where = match.group(), f"line {lineno}, column {match.start() + 1}"
+                if not (token.isascii() and token.isdigit()):
+                    return f"{where}: {token!r} is not a non-negative decimal integer"
+                if int(token) >= limit:
+                    return (f"{where}: value {int(token)} does not fit in a {word_size}-bit word "
+                            f"(max {limit - 1})")
+                values.append(int(token))
+    return values
+
+
+# Digits, separators, line breaks that splitlines() knows and "\n" does not,
+# whitespace that is no line break, comments, and tokens that are not
+# decimal integers or only look like one.
+_PIECES = st.sampled_from(["0", "7", "255", "256", "18446744073709551616", "0" * 30 + "1",
+                           " ", ",", "\t", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1f",
+                           "\x85", "\u2028", "\u00a0", "#", "# 5", "x", "-1", "\u0663", "\u00b2"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_PIECES, max_size=30).map("".join), st.integers(1, 64))
+def test_parse_input_is_the_token_scan(text, word_size):
+    """The whole-text pass accepts exactly what the scan accepts, with the
+    same values, and otherwise the same first bad token is named."""
+    try:
+        got = cli.parse_input(text, word_size)
+    except cli.InputError as exc:
+        got = str(exc)
+    assert got == _scan(text, word_size)
 
 
 _TOKENS = st.one_of(st.integers(0, 300).map(str),

@@ -284,6 +284,40 @@ def test_word_planes_round_trip_every_word(w):
     assert words_of(tree) == [0, *els]
 
 
+# Every height up to 12 that keeps a tree under about 1,600 nodes (height 1 is
+# the lone root), and an eta = 1 tree with more levels than a memoryview has
+# axes if its size-1 axes were kept.
+_LOAD_SHAPES = [(eta, h) for eta, top in ((1, 12), (2, 10), (3, 7), (9, 4))
+                for h in range(1, top + 1)] + [(1, 80)]
+
+
+@pytest.mark.parametrize("eta,h", _LOAD_SHAPES)
+def test_a_fresh_load_puts_each_bit_where_locate_says(eta, h):
+    """Straight from ``LoadedTree.load``, with (d, p) = ``topo.locate(i)``,
+    bit j of node i's word is bit p of level d's plane for bit j (planes
+    MSB first), and node i's ``perm_disabled`` flag is bit p of that
+    level's perm plane; no plane has a bit at or past its level's size.
+    Every width, with random words, root and padding, and no, some or all
+    nodes disabled."""
+    for w in _WIDTHS:
+        topo = cached_topology(eta, h, w)
+        rng = random.Random(f"{eta}:{h}:{w}:locate")
+        els = [rng.getrandbits(w) for _ in range(rng.randrange(topo.n))]
+        root, pad = rng.getrandbits(w), rng.getrandbits(w)
+        share = rng.choice((0, 0.3, 1))
+        perm = bytes(rng.random() < share for _ in range(topo.n))
+        tree = LoadedTree.load(topo, Mode.MAX, root, els, pad, perm)
+        words = [root, *els] + [pad] * (topo.n - 1 - len(els))
+        for i, (word, flag) in enumerate(zip(words, perm)):
+            d, p = topo.locate(i)
+            lv = tree.levels[d]
+            assert [plane >> p & 1 for plane in lv.words] == \
+                [word >> j & 1 for j in range(w - 1, -1, -1)], (w, i)
+            assert lv.perm >> p & 1 == flag, (w, i)
+        for lv in tree.levels:
+            assert all(plane >> lv.n == 0 for plane in (*lv.words, lv.perm)), w
+
+
 @pytest.mark.parametrize("w", _WIDTHS)
 def test_a_bad_element_is_named_first_in_list_order(w):
     """Elements are checked by the packing; a bad one gives the one-line
