@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import algorithms, engine, oracle
 from .node import Mode
-from .topology import (MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
+from .topology import (MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        level_sizes, node_count, required_height)
 from .tracefile import Divergence, Recorder, verify
 
@@ -55,32 +55,28 @@ def parse_input(text: str, word_size: int) -> list[int]:
     size.  Errors report the line and column of the offending token.
     """
     limit = 1 << word_size
-    # One pass over the text with its comment lines blanked.  The scan below
-    # runs only for a bad token or one longer than the limit's digits.
-    lines = text.splitlines()
-    tokens = re.sub(r"(?m)^[^\S\n]*#.*", "", "\n".join(lines)).replace(",", " ").split()
+    # One pass over the text, its comment lines blanked and its line breaks kept.
+    # The scan below runs only for a bad token or one longer than the limit's digits.
+    text = re.sub(r"(?m)^[^\S\n]*#.*", "", "\n".join(text.splitlines()))
+    tokens = text.replace(",", " ").split()
     digits = "".join(tokens)
     if digits.isascii() and digits.isdigit() and max(map(len, tokens)) <= len(str(limit)):
         if max(values := list(map(int, tokens))) < limit:
             return values
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        for token_match in re.finditer(r"[^\s,]+", line):
-            token, col = token_match.group(), token_match.start() + 1
-            if not (token.isascii() and token.isdigit()):
-                raise InputError(
-                    f"line {lineno}, column {col}: {token!r} is not a "
-                    "non-negative decimal integer"
-                )
-            value = int(token)
-            if value >= limit:
-                raise InputError(
-                    f"line {lineno}, column {col}: value {value} does not fit "
-                    f"in a {word_size}-bit word (max {limit - 1})"
-                )
+    values, places = [], len(str(limit))
+    for token_match in re.finditer(r"[^\s,]+", text):
+        token = token_match.group()
+        digits = token.lstrip("0") or "0"  # sized before int(), which caps its digits
+        if not (token.isascii() and token.isdigit()):
+            problem = f"{token!r} is not a non-negative decimal integer"
+        elif len(digits) > places or (value := int(digits)) >= limit:
+            problem = f"value {digits} does not fit in a {word_size}-bit word (max {limit - 1})"
+        else:
             values.append(value)
+            continue
+        start = token_match.start()
+        line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+        raise InputError(f"line {line}, column {column}: {problem}")
     return values
 
 
@@ -265,7 +261,10 @@ def _run_bench(args: argparse.Namespace) -> int:
     for entry in filter(None, map(str.strip, args.sizes.split(","))):
         if not (entry.isascii() and entry.isdigit()):
             raise InputError(f"--sizes entry {entry!r} is not a non-negative integer")
-        sizes.append(int(entry))
+        digits = entry.lstrip("0") or "0"  # sized before int(), which caps its digits
+        if len(digits) > len(str(MAX_NODES)):
+            raise InputError(f"--sizes entry {entry} needs over the limit of {MAX_NODES} nodes")
+        sizes.append(int(digits))
         check_nodes(sizes[-1] + 1, f"--sizes entry {entry}")
     limit = 1 << args.word_size
     rows = []

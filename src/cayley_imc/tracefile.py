@@ -228,9 +228,9 @@ def parse_trace(lines: Iterable[str]) -> list[tuple[dict, list[dict]]]:
                 segments.append((json.loads(line[len(_HEADER_PREFIX):]), []))
             elif line and line[0] != "#":
                 if not segments:
-                    raise ValueError(f"trace line {lineno}: event before any segment header")
+                    raise ValueError("event before any segment header")
                 segments[-1][1].append(json.loads(line))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json's, CPython's digit limit among them, or the one above
         raise ValueError(f"trace line {lineno}: {exc}") from None
     except RecursionError:
         # json raises this, not a ValueError, on deeply nested arrays.

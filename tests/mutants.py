@@ -86,6 +86,9 @@ MUTANTS = [
      "tree.run(mode, on_step=record)", _AS_TEXT),
     ("tracefile.py", "    tree.phase1_only = phase1_only\n", "",
      f"{_FUZZ}::test_reformatted_equal_trace_still_matches"),
+    # A number past CPython's digit cap on int() leaves the trace unlocated:
+    ("tracefile.py", "    except ValueError as exc:  # json's", "    except json.JSONDecodeError as exc:  # json's",
+     _TRACE),
     # Rebuild checks: the cycle-0 lines are not counted before building, a
     # header that is not an object reaches the field checks, and a word out
     # of range is left to the load, whose message names no node.
@@ -144,6 +147,17 @@ MUTANTS = [
     # parse_input's one pass lets a value equal to the limit through:
     ("cli.py", "if max(values := list(map(int, tokens))) < limit:",
      "if max(values := list(map(int, tokens))) <= limit:", "tests/test_cli.py::TestParseInput"),
+    # ... its scan refuses a value with as many digits as the limit, or names
+    # the line or the column of a bad token one off:
+    ("cli.py", "elif len(digits) > places or", "elif len(digits) >= places or",
+     "tests/test_cli.py::TestParseInput"),
+    ("cli.py", 'line, column = text.count("\\n", 0, start) + 1,', 'line, column = text.count("\\n", 0, start),',
+     "tests/test_cli.py::TestParseInput"),
+    ("cli.py", 'start - text.rfind("\\n", 0, start)', 'start - text.rfind("\\n", 0, start) - 1',
+     "tests/test_cli.py::TestParseInput"),
+    # bench hands a --sizes entry of any length to int():
+    ("cli.py", "        if len(digits) > len(str(MAX_NODES)):", "        if False:",
+     "tests/test_cli.py::test_an_over_long_number_is_refused_with_one_line"),
     ("cli.py", '        raise InputError("info needs --height or an input list")', "        pass", _USAGE),
     ("cli.py", "        if not 0 <= key < limit:", "        if False:", _USAGE),
     ("cli.py", '        pairs.insert(6, ("elements", n_elements))', "        pass",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,10 @@ from cayley_imc import cli, node, planes, tracefile
 from cayley_imc.cli import InputError, main, parse_input
 from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, Role, TreeParams, build_topology
 
+# Past the 4,300 digits that CPython (3.10.7 and later) lets int() read from a
+# string: each number from outside is sized by its digits first.
+_LONG = "9" * 5000
+_PADDED_7 = "0" * 5000 + "7"
 
 class TestParseInput:
     def test_worked_example_list(self):
@@ -57,6 +62,18 @@ class TestParseInput:
 
     def test_a_comment_ends_at_any_line_break(self):
         assert parse_input("1\n # 2\r3\x1c#4\n5", 8) == [1, 3, 5]
+
+    def test_an_over_long_value_is_named_by_line_and_column(self):
+        with pytest.raises(InputError) as err:
+            parse_input(f"# {_LONG}\n1 2\n3, {_LONG}", 8)
+        assert str(err.value) == \
+            f"line 3, column 4: value {_LONG} does not fit in a 8-bit word (max 255)"
+
+    def test_zero_padding_is_read_by_its_digits(self):
+        assert parse_input(f"{_PADDED_7},00255\n0000", 8) == [7, 255, 0]
+        with pytest.raises(InputError) as err:
+            parse_input(f"1\n{_PADDED_7} 0256", 8)
+        assert str(err.value) == "line 2, column 5003: value 256 does not fit in a 8-bit word (max 255)"
 
 
 def run_cli(capsys, *argv):
@@ -419,6 +436,22 @@ class TestTrace:
         path.write_text("\n".join(lines) + "\n")
         self._rejected(capsys, path, f"trace line {index + 1}:")
 
+    @pytest.mark.parametrize("index,field", [(0, "eta"), (1, "word"), (3, "word")])
+    def test_an_over_long_number_names_its_trace_line(self, capsys, tmp_path, index, field):
+        path = tmp_path / "run.trace"
+        run_cli(capsys, "max", "--list", "1,2,3", "--word-size", "4",
+                "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        lines[index] = re.sub(f'"{field}":[0-9]+', f'"{field}":{_LONG}', lines[index], count=1)
+        path.write_text("\n".join(lines) + "\n")
+        self._rejected(capsys, path, f"error: trace line {index + 1}: ")
+
+    def test_an_event_before_any_header_names_its_line_once(self, capsys, tmp_path):
+        path = tmp_path / "run.trace"
+        path.write_text('# a note\n\n{"cycle":0}\n')
+        status, out, err = run_cli(capsys, "trace", str(path))
+        assert (status, out, err) == (1, "", "error: trace line 3: event before any segment header\n")
+
     @pytest.mark.parametrize("header,edit,needle", [
         ({"mode": "idle"}, None, "'mode'"),
         ({"eta": "2"}, None, "'eta'"),
@@ -535,6 +568,34 @@ def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and needle in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("max", "--list", f"1,{_LONG}"),
+     f"line 1, column 3: value {_LONG} does not fit in a 8-bit word (max 255)"),
+    (("bench", "--sizes", f"4,{_LONG}"),
+     f"--sizes entry {_LONG} needs over the limit of {MAX_NODES} nodes"),
+], ids=["list", "sizes"])
+def test_an_over_long_number_is_refused_with_one_line(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_over_long_value_in_an_input_file_is_named(capsys, tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text(f"# values\n1 2\n  {_LONG}\n")
+    status, out, err = run_cli(capsys, "max", "--input", str(path))
+    assert (status, out) == (1, "")
+    assert err == f"error: line 3, column 3: value {_LONG} does not fit in a 8-bit word (max 255)\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("max", "--list", f"1,{_PADDED_7},3"), "value: 7"),
+    (("bench", "--sizes", f"{_PADDED_7},0010"), "7 in-memory 154 -"),
+], ids=["list", "sizes"])
+def test_zero_padded_numbers_are_accepted(capsys, argv, line):
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0 and line.split() in map(str.split, out.splitlines()), out
 
 
 @pytest.mark.parametrize("argv,needle", [
