@@ -14,13 +14,12 @@ disable their memories, repeat.  Each round retires one distinct value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 # Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
 from .engine import ProtocolError, run_until_quiescent  # noqa: F401
 from .node import Mode
-from .planes import LoadedTree, _bits
+from .planes import LoadedTree
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -116,12 +115,9 @@ def search(tree: LoadedTree, key: int, collect_matches: bool = False,
         raise ValueError(f"key {key} out of range [0, 2^{w})")
     tree.root_word = key
     cycles = tree.run(Mode.SEARCH, on_step=on_step)
-    matched: frozenset[int] = frozenset()
-    if collect_matches:  # each level's phase-1 matches, through its ids in position order
-        hits = chain.from_iterable(
-            compress(ids, _bits(lv.phase1_match, lv.n))
-            for lv, ids in zip(tree.levels, tree.topo.layout()) if lv.phase1_match)
-        matched = frozenset(filter(tree.occupied.__contains__, hits))
+    levels = enumerate(tree.levels) if collect_matches else ()  # each level's phase-1 matches
+    matched = frozenset(i for d, lv in levels if lv.phase1_match
+                        for i in tree.topo.ids(d, lv.phase1_match) if i in tree.occupied)
     return SearchResult(found=tree.levels[0].state, cycles=cycles,
                         matched_nodes=matched)
 
@@ -178,8 +174,8 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
 
         copies = sum(lv.match.bit_count() for lv in below)
         if not copies:
-            live = sorted(i for lv, ids in zip(below, tree.topo.layout()[1:])
-                          for p, i in enumerate(ids) if not lv.perm >> p & 1)
+            live = [i for d, lv in enumerate(below, 1)
+                    for i in tree.topo.ids(d, lv.mask & ~lv.perm)]
             raise ProtocolError(
                 f"sort round found no node holding {value}; live set {live}")
         for lv in below:

@@ -287,20 +287,19 @@ def _run_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_inputs: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=int, default=2, help="branching order (default 2)")
     p.add_argument("--word-size", type=int, default=8, dest="word_size",
                    help="bits per memory word (default 8)")
     p.add_argument("--height", type=int, default=None,
                    help="tree height; default is the smallest that fits the list")
     p.add_argument("--json", action="store_true", help="emit one JSON object")
-    if with_inputs:
-        p.add_argument("--input", help="path to a list file")
-        p.add_argument("--list", help="inline comma/space separated list")
-        p.add_argument("--seed", type=int, default=None,
-                       help="generate a random list from this seed")
-        p.add_argument("--count", type=int, default=10,
-                       help="length of a generated list (default 10)")
+    p.add_argument("--input", help="path to a list file")
+    p.add_argument("--list", help="inline comma/space separated list")
+    p.add_argument("--seed", type=int, default=None,
+                   help="generate a random list from this seed")
+    p.add_argument("--count", type=int, default=10,
+                   help="length of a generated list (default 10)")
 
 
 @functools.cache

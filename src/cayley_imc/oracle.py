@@ -24,16 +24,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class OracleReport:
-    expected: object
     agreed: int
     detail: str = ""
 
 
 def compare(expected: object, actual: object) -> OracleReport:
     if expected == actual:
-        return OracleReport(expected=expected, agreed=1)
+        return OracleReport(agreed=1)
     return OracleReport(
-        expected=expected,
         agreed=0,
         detail=f"simulator answered {actual!r}, oracle says {expected!r}",
     )

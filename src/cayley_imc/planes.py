@@ -49,7 +49,6 @@ from .topology import CayleyTopology
 
 __all__ = ["LoadedTree"]
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # The masked swaps of an 8x8 bit transpose of each 8-byte block (Hacker's
 # Delight 7-3): bit r of byte i trades places with bit i of byte r.
@@ -59,15 +58,14 @@ _SWAPS = [(k, m.to_bytes(8, "little"))
 
 def _planes(words, flags: bytes, w: int, topo: CayleyTopology) -> tuple[list[int], list[int]]:
     """Per level, its ``w`` planes of ``words`` (little-endian, in id order),
-    MSB first, and the plane of its 0/1 ``flags``.  Read in C order as an
-    array of its digits (eta + 1, eta, ...; eta = 1 drops its size-1 axes),
-    a level is in position order read in Fortran order (``locate``).  With
-    levels padded to 8 nodes, a byte lane is a strided slice, an 8x8 bit
-    transpose of it gives its planes, and a level is a byte range of each.
-    A word outside [0, 2^w) raises ValueError."""
-    view, eta, offs = memoryview(words), topo.params.eta, topo.offsets
+    MSB first, and the plane of its 0/1 ``flags``.  Cast to its ``axes``, a
+    level is in position order read in Fortran order.  With levels padded
+    to 8 nodes, a byte lane is a strided slice, an 8x8 bit transpose of it
+    gives its planes, and a level is a byte range of each.  A word outside
+    [0, 2^w) raises ValueError."""
+    view, offs = memoryview(words), topo.offsets
     code, size, view = view.format, view.itemsize, view.cast("B")
-    digits = [eta + 1] + [eta] * (len(offs) - 3) * (eta > 1)
+    digits = topo.axes(len(offs) - 2)  # the deepest level's lead every level's
     tree, ends, perms, planes = [], [0], [], []
     for d, (lo, hi) in enumerate(zip(offs, offs[1:])):
         shape, pad = digits[:d], bytes((lo - hi) % 8 * size)
@@ -90,11 +88,6 @@ def _planes(words, flags: bytes, w: int, topo: CayleyTopology) -> tuple[list[int
             planes[:0] = [lane[r::8] for r in range(width - 1, -1, -1)]
     return [int.from_bytes(plane[cut], "little") for cut in map(slice, ends, ends[1:])
             for plane in planes], perms
-
-
-def _bits(plane: int, n: int) -> bytes:
-    """The ``n`` low bits of ``plane`` as 0/1 bytes, position 0 first."""
-    return format(plane, f"0{n}b").encode().translate(_BITS)[::-1]
 
 
 # The data operations of a cycle, each over a range of depths.  Search: the
@@ -317,8 +310,8 @@ class LoadedTree:
         if mode is Mode.SEARCH and not phase1_only:
             for d, lv in enumerate(levels):
                 if d and lv.state | lv.match:  # ids grow with depth: the lowest is here
-                    i, p = min((i, p) for p, (i, b) in enumerate(
-                        zip(self.topo.layout()[d], _bits(lv.state | lv.match, lv.n))) if b)
+                    i = self.topo.ids(d, lv.state | lv.match)[0]
+                    p = self.topo.locate(i)[1]
                     raise ProtocolError(
                         f"search quiescence reached but node {i} has not drained "
                         f"(state={lv.state >> p & 1}, match={lv.match >> p & 1})")

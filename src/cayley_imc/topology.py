@@ -14,12 +14,12 @@ and children are arithmetic on its id, and no table is kept per node.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import mul
-from typing import Iterator
 
 __all__ = [
     "Role",
@@ -37,13 +37,17 @@ __all__ = [
 # node_count rejects counts that cannot be represented in a 64-bit signed
 # integer; Python ints are unbounded but the platform being modelled is not.
 _MAX_COUNT = 2**63 - 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' digits to 0/1 bytes
 
-# Caps on what one simulation may allocate.  Loading a list takes about 35
-# bytes per node at its peak and w/8 once loaded, besides the list itself;
-# a traced run peaks at about 480 (w = 8) to 630 (w = 64) bytes per node of
-# trace text and keeps none of it once its recorder is gone (CPython 3.11,
-# tracemalloc).  MAX_NODES bounds those near 150 MB and 2.6 GB; a word
-# wider than a machine word has no hardware to model.
+# Caps on what one simulation may allocate.  Besides the list, a load keeps
+# about 1.3 (w = 8) to 9 (w = 64) bytes per node and 260 + 36w per level (its
+# _Level and w plane ints; 260 + 8w at eta = 1, two nodes a level, as CPython
+# 3.11+ shares small ints) and peaks near 12 to 40 bytes per node and 8w per
+# level more.  A traced run peaks near 480 (w = 8) to 630 bytes per node of
+# trace text (1,200 at eta = 1) and keeps none of it once its recorder is gone
+# (CPython 3.11, tracemalloc, random words).  So MAX_NODES bounds a load near
+# 170 MB (2.8 GB at eta = 1), a trace near 2.6 GB (5 GB); a word wider than a
+# machine word has no hardware to model.
 MAX_NODES = 1 << 22
 MAX_WORD_SIZE = 64
 
@@ -157,20 +161,28 @@ class CayleyTopology:
             position += slot * (offs[e] - offs[e - 1])
         return d, position
 
-    def level_orders(self) -> Iterator[list[int]]:
-        """Per depth, the index within its level of the node at each
-        position: slot ``s`` below the parent at position ``q`` of an
-        ``N``-node level is position ``s * N + q``."""
-        index = [0]
-        for k in map(self.fanout, range(self.params.height - 1)):
-            yield index
-            index = [q * k + s for s in range(k) for q in index]
-        yield index
+    def axes(self, depth: int) -> tuple[int, ...]:
+        """The digits of an index within the level at ``depth``, top first:
+        eta + 1, then eta (eta = 1 drops its size-1 axes: a memoryview takes
+        at most 64).  Cast to them and read in Fortran order, a level in id
+        order is in position order; cast to them reversed, a level in
+        position order is in id order.  They lead every deeper level's."""
+        eta = self.params.eta
+        return (eta + 1,)[:depth] + (eta,) * (depth - 1) * (eta > 1)
 
     def layout(self) -> list[list[int]]:
         """Each level's node ids in position order."""
-        return [list(map(first.__add__, index))
-                for first, index in zip(self.offsets, self.level_orders())]
+        return [array("q", memoryview(array("q", range(lo, hi))).cast("B")
+                      .cast("q", self.axes(d)).tobytes("F")).tolist()
+                for d, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:]))]
+
+    def ids(self, depth: int, plane: int) -> list[int]:
+        """The ids, ascending, of the nodes at ``depth`` whose bit is set in
+        ``plane`` (bit ``p`` for the node at position ``p``)."""
+        lo, hi = self.offsets[depth], self.offsets[depth + 1]
+        bits = format(plane, f"0{hi - lo}b").encode()[::-1]  # position 0 first
+        bits = memoryview(bits).cast("B", self.axes(depth)[::-1]).tobytes("F")
+        return list(compress(range(lo, hi), bits.translate(_BITS)))
 
     def parent(self, node: int) -> tuple[int, int]:
         """The parent of ``node`` and the child slot it fills there; (-1, 0)

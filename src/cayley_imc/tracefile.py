@@ -14,14 +14,15 @@ import contextlib
 import json
 import re
 import struct
+from array import array
 from functools import lru_cache
 from itertools import takewhile
 from operator import itemgetter
 from typing import Callable, Iterable
 
 from .node import Mode
-from .planes import _BITS, LoadedTree
-from .topology import CayleyTopology, TreeParams, build_topology, node_count
+from .planes import LoadedTree
+from .topology import _BITS, CayleyTopology, TreeParams, build_topology, node_count
 
 __all__ = ["trace_header", "Recorder", "Divergence", "verify", "parse_trace", "tree_from_events"]
 
@@ -51,10 +52,11 @@ def _shape(topo: CayleyTopology) -> tuple[list[str], list[itemgetter]]:
     ``,"node":i,...,"word":`` text in place, and per level the picker that
     puts a sequence in position order in id order."""
     parts, picks, offsets = [""] * (4 * topo.n), [], topo.offsets
-    for d, (first, stop, index) in enumerate(zip(offsets, offsets[1:], topo.level_orders())):
+    for d, (first, stop) in enumerate(zip(offsets, offsets[1:])):
         where = f',"depth":{d},"role":"{topo.role(d).value}","word":'
         parts[4 * first + 1:4 * stop:4] = [f',"node":{i}{where}' for i in range(first, stop)]
-        order = sorted(range(len(index)), key=index.__getitem__)
+        order = array("q", memoryview(array("q", range(stop - first))).cast("B")
+                      .cast("q", topo.axes(d)[::-1]).tobytes("F"))  # each id's position
         picks.append(itemgetter(*order) if d else itemgetter(slice(None)))  # a lone root
     return parts, picks
 

@@ -34,6 +34,8 @@ _REFUSED = "tests/test_planes.py::test_bad_loads_and_runs_are_refused"
 _USAGE = "tests/test_cli.py::test_usage_errors_exit_1_with_one_line"
 _PLANES = "tests/test_planes.py"
 _SHAPES = "tests/test_topology.py::TestBuildTopology::test_bad_shapes_are_refused"
+_IDS = ("tests/test_topology.py::TestArithmetic "
+        "tests/test_planes.py::test_matches_and_the_live_set_are_the_ids_a_scan_finds")
 
 # (file, old text, new text, test selection)
 MUTANTS = [
@@ -72,9 +74,11 @@ MUTANTS = [
      'int(format(lv.match, "b"), 16) << 1\n                    | int(format(lv.link_mem, "b"), 16) << 2',
      'int(format(lv.match, "b"), 16) << 2\n                    | int(format(lv.link_mem, "b"), 16) << 1',
      _TRACE),
-    # ... keeps a level's lines in position order, not id order:
+    # ... keeps a level's lines in position order, not id order, or casts
+    # the positions to the level's axes unreversed:
     ("tracefile.py", "picks.append(itemgetter(*order) if d",
      "picks.append(itemgetter(slice(None)) if d", _TRACE),
+    ("tracefile.py", '.cast("q", topo.axes(d)[::-1])', '.cast("q", topo.axes(d))', _TRACE),
     # ... lists child links last slot first:
     ("tracefile.py", "zip(*[bits[s * n:s * n + n]", "zip(*[bits[(k - 1 - s) * n:(k - s) * n]", _TRACE),
     # ... reads the code characters from the wrong end:
@@ -125,7 +129,15 @@ MUTANTS = [
     ("planes.py", "if width < 8 and lane.translate(", "if False and lane.translate(",
      "tests/test_planes.py::test_a_bad_element_is_named_first_in_list_order"),
     # ... keeps the size-1 axes of eta = 1, more than a memoryview has past 64 levels:
-    ("planes.py", "[eta] * (len(offs) - 3) * (eta > 1)", "[eta] * (len(offs) - 3)", _PLANES),
+    ("topology.py", "(eta,) * (depth - 1) * (eta > 1)", "(eta,) * (depth - 1)", _PLANES),
+    # The layout casts a level to its axes reversed:
+    ("topology.py", '.cast("q", self.axes(d))', '.cast("q", self.axes(d)[::-1])',
+     "tests/test_topology.py"),
+    # ids casts a plane's bits to the axes unreversed, leaves them last
+    # position first, or names the ids one past its level's:
+    ("topology.py", 'cast("B", self.axes(depth)[::-1])', 'cast("B", self.axes(depth))', _IDS),
+    ("topology.py", '.encode()[::-1]  # position 0 first', '.encode()  # position 0 first', _IDS),
+    ("topology.py", "compress(range(lo, hi),", "compress(range(lo + 1, hi + 1),", _IDS),
     # locate swaps a node's slot and its parent's index:
     ("topology.py", "index, slot = divmod(index, self.fanout(e - 1))",
      "slot, index = divmod(index, self.fanout(e - 1))", "tests/test_topology.py " + _PLANES),

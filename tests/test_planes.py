@@ -11,6 +11,8 @@ results and final planes of whole runs through the library entry points.
 
 import gc
 import random
+import sys
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -481,14 +483,14 @@ def test_search_refuses_a_tree_that_has_not_drained(topo_2_3_4, monkeypatch):
     """A state or match bit left at a leaf once a full search is quiescent
     is a protocol error naming the lowest such node id, as the object
     engine's drain check does on the same bits; the next search on the
-    tree starts clean.  A search that drains reads no id layout."""
+    tree starts clean.  A search reads no id layout: not to drain, not to
+    name the node and not to collect its matches."""
     els = [3, 1, 2, 7, 3]
     obj, tree = _twins(topo_2_3_4, els, Mode.SEARCH, 0)
     object_search(obj, 3, ())
     leaves = topo_2_3_4.layout()[-1]
-    with monkeypatch.context() as m:
-        m.setattr(type(topo_2_3_4), "layout", None)
-        assert search(tree, 3).found == 1
+    monkeypatch.setattr(type(topo_2_3_4), "layout", None)
+    assert search(tree, 3).found == 1
     # Leaf positions 0..3 hold nodes 4, 6, 8 and 5: position order and id
     # order differ at positions 1 and 3.
     for state, match, node in ((0, 0b1010, 5), (0b1000, 0b10, 5), (0b10, 0, 6),
@@ -567,10 +569,11 @@ def test_a_deep_cycle_has_as_few_ranges_as_a_shallow_one():
             assert max(bounds, default=0) <= 2000
 
 
-def test_sort_refuses_a_round_that_retires_nothing(topo_2_3_4):
+def test_sort_refuses_a_round_that_retires_nothing(topo_2_3_4, monkeypatch):
     """The live set is the enabled nodes below the root, as planes.  A round
     whose comparison phase leaves no match set is a protocol error naming
-    the round's value and the live node ids."""
+    the round's value and the live node ids, read with no id layout."""
+    monkeypatch.setattr(type(topo_2_3_4), "layout", None)
     comparisons = []
 
     def clear_matches(t):
@@ -583,3 +586,57 @@ def test_sort_refuses_a_round_that_retires_nothing(topo_2_3_4):
     # The first round retires 7 at node 4; the second finds the 3s cleared.
     with pytest.raises(ProtocolError, match=r"no node holding 3; live set \[1, 2, 3, 5\]$"):
         sort(topo_2_3_4, [3, 1, 2, 7, 3], on_step=clear_matches)
+
+
+@pytest.mark.parametrize("eta,h", [(eta, h) for eta in (1, 2, 3) for h in range(2, 7)])
+def test_matches_and_the_live_set_are_the_ids_a_scan_finds(eta, h, monkeypatch):
+    """``collect_matches`` and the live set of a sort round that retires
+    nothing name the node ids a scan of the list finds, read off the planes
+    with no id layout."""
+    topo = cached_topology(eta, h, 4)
+    monkeypatch.setattr(type(topo), "layout", None)
+    rng = random.Random(f"{eta}:{h}:ids")
+    els = [rng.randrange(5) for _ in range(rng.randint(1, topo.n - 1))]  # values repeat
+    tree = load_list(topo, els, Mode.SEARCH, key=0)
+    for key in range(16):
+        want = {i for i, x in enumerate(els, 1) if x == key}
+        assert search(tree, key, collect_matches=True).matched_nodes == want, key
+    values = sorted(set(els), reverse=True)
+    for r, value in enumerate(values):  # the rounds before r retire values[:r]
+        comparisons = []
+
+        def clear_matches(t):
+            if t.phase1_only and t.cycle == 4 + h:  # w + h, the comparison's last cycle
+                comparisons.append(t.cycle)
+                if len(comparisons) == r + 1:
+                    for lv in t.levels:
+                        lv.match = 0
+
+        live = [i for i, x in enumerate(els, 1) if x <= value]
+        with pytest.raises(ProtocolError) as info:
+            sort(topo, els, on_step=clear_matches)
+        assert str(info.value) == f"sort round found no node holding {value}; live set {live}"
+
+
+@pytest.mark.parametrize("eta,h", [(1, 5000), (2, 12)])
+@pytest.mark.parametrize("w", [8, 64])
+def test_a_load_keeps_and_peaks_at_the_bytes_the_node_cap_states(eta, h, w):
+    """The figures of the comment on ``topology.MAX_NODES``, within 20%: a
+    load of random words keeps about 1.3 (w = 8) to 9 (w = 64) bytes per
+    node and 260 + 36w per level (260 + 8w at eta = 1 on CPython 3.11+),
+    and peaks near 12 to 40 bytes per node and 8w more per level."""
+    topo = cached_topology(eta, h, w)
+    rng = random.Random(f"{eta}:{h}:{w}:bytes")
+    els = [rng.getrandbits(w) for _ in range(topo.n - 1)]
+    tracemalloc.start()
+    try:
+        tree = load_list(topo, els, Mode.MAX)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.levels) == h
+    level = 260 + (8 if eta == 1 and sys.version_info >= (3, 11) else 36) * w
+    for got, node, level in zip((kept, peak), {8: (1.3, 12), 64: (9, 40)}[w],
+                                (level, level + 8 * w)):
+        stated = node * topo.n + level * h
+        assert 0.8 < got / stated < 1.2, (got / topo.n, stated / topo.n)  # bytes per node

@@ -187,17 +187,20 @@ class TestArithmetic:
     """The closed forms against the breadth-first construction."""
 
     @settings(deadline=None, max_examples=150)
-    @given(st.integers(1, 4), st.integers(1, 12))
-    def test_positions_and_layout_match_the_construction(self, eta, height):
+    @given(st.integers(1, 4), st.integers(1, 12), st.randoms(use_true_random=False))
+    def test_positions_and_layout_match_the_construction(self, eta, height, rng):
         assume(node_count(eta, height) <= 40_000)
         topo = build_topology(TreeParams(eta, height, 4))
         levels = _reference_layout(eta, height)
         assert list(map(tuple, topo.layout())) == levels
         assert topo.offsets == tuple([ids[0] for ids in levels] + [topo.n])
-        # locate inverts the layout, on every node.
+        # locate inverts the layout, on every node; ids reads a plane's
+        # set positions as the layout names them, in id order.
         for depth, ids in enumerate(levels):
             assert [topo.locate(i) for i in ids] == [(depth, q) for q in range(len(ids))]
             assert {topo.depth(i) for i in ids} == {depth}
+            plane = rng.getrandbits(len(ids))
+            assert topo.ids(depth, plane) == sorted(i for q, i in enumerate(ids) if plane >> q & 1)
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 4), st.integers(1, 12))
