@@ -172,14 +172,15 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
 
         cycles_b = tree.run(Mode.SEARCH, phase1_only=True, on_step=on_step)
 
-        copies = sum(lv.match.bit_count() for lv in below)
+        copies = 0
+        for lv in below:  # count the round's matches and move them into perm
+            copies += lv.match.bit_count()
+            lv.perm, lv.match = lv.perm | lv.match, 0
         if not copies:
             live = [i for d, lv in enumerate(below, 1)
                     for i in tree.topo.ids(d, lv.mask & ~lv.perm)]
             raise ProtocolError(
                 f"sort round found no node holding {value}; live set {live}")
-        for lv in below:
-            lv.perm |= lv.match
         remaining -= copies
         output.extend([value] * copies)
         per_round.append(cycles_a + cycles_b)

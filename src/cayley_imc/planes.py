@@ -22,12 +22,17 @@ Positions are arithmetic on the ids (see ``CayleyTopology.locate``), and
 
 The control state never depends on the data either: only on the mode, the
 height, the word size and ``phase1_only``.  ``_schedule`` lists, once per
-shape, each cycle's data operations as a few ranges of depths, and its
-length is the cycle count.  ``LoadedTree.run`` is the one run loop, for
-observed, unobserved and replayed runs alike: it applies only those
-operations to the planes, so a run is its schedule.  The control values
-an observer reads (each level's clock, ``start`` and rotation) are derived
-from (mode, ``phase1_only``, cycle) before each of its calls.
+shape, each cycle's data operations as a few ``(op, range of depths)``
+entries, and its length is the cycle count.  A tournament's step at the
+root, which writes the root's word, is an op of its own, so the per-level
+op below it tests no depth.  A search relays only above the deepest level
+that holds an enabled node, since below it only 0 can rise.
+``LoadedTree.run`` is the one run path, for observed, unobserved and
+replayed runs alike: one loop per mode family (search, tournament), each
+testing only its own ops, applies those operations to the planes, so a
+run is its schedule.  The control values an observer reads (each level's
+clock, ``start`` and rotation) are derived from (mode, ``phase1_only``,
+cycle) before each of its calls.
 
 The operations mirror the transition functions of ``node.py``, leaving out
 only relay cycles of the leaves that change nothing.  The object engine
@@ -95,17 +100,21 @@ def _planes(words, flags: bytes, w: int, topo: CayleyTopology) -> tuple[list[int
 # initiate or a key bit; a relaying level passes its match up and keeps it as
 # its phase-1 match on its first relay cycle (FIRST), then sends 0 (DRAIN),
 # then its latched child plane (RELAY).  Max/min: a level takes the initiate
-# or a child plane (COMBINE), and the leaves send their next bit.
-_SEND, _LISTEN, _INITIATE, _KEY, _FIRST, _DRAIN, _RELAY, _COMBINE, _LEAF = range(9)
+# or a child plane (COMBINE below the root, ROOT at it), and the leaves send
+# their next bit.
+_SEND, _LISTEN, _INITIATE, _KEY, _FIRST, _DRAIN, _RELAY, _COMBINE, _ROOT, _LEAF = range(10)
+# Only a schedule of at most this many cycles is cached: a longer one holds
+# O(cycles) and would outlive its run.
+_KEPT_CYCLES = 128
 
 
 @lru_cache(maxsize=256)
-def _schedule(search: bool, h: int, w: int, phase1_only: bool
-              ) -> tuple[tuple[tuple[int, int, int], ...], ...] | None:
+def _schedule(search: bool, h: int, w: int, phase1_only: bool, deepest: int
+              ) -> tuple[tuple[tuple[int, range], ...], ...] | None:
     """Per cycle of a run from the reset, its data operations as ``(op,
-    first depth, last depth + 1)`` ranges in depth order; None for a
-    tournament on a lone root, which never starts.  The length is the run's
-    cycle count.
+    depths)`` entries in depth order; None for a tournament on a lone root,
+    which never starts.  The length is the run's cycle count.  Equal ranges
+    and equal entries are one object each.
 
     Each level's control follows its local time: the cycle minus its depth
     in a search, minus its height above the leaves in a tournament.  A level
@@ -113,31 +122,41 @@ def _schedule(search: bool, h: int, w: int, phase1_only: bool
     child plane at 1..w; a searching level then relays from w + 1 on, with
     a child plane latched from w + 3 on.  A leaf's state and match stay 0
     from w + 2 on, so its later relay cycles change nothing and are left
-    out.  The levels at one stage of that program are consecutive, so a
-    cycle has a few ranges at any height.
+    out.  So are the relay cycles of every depth from ``deepest`` down,
+    the deepest depth that holds an enabled node: a search's reset clears
+    the match of every disabled node, so below it only 0 is ever relayed.
+    A run that does not relay passes h - 1.  The levels at one stage of
+    that program are consecutive, so a cycle has a few entries at any
+    height; SEND, LISTEN, INITIATE, FIRST, DRAIN, ROOT and LEAF cover one
+    depth each.
     """
     last, phase2, end = h - 1, search and not phase1_only, w + 2 * h
     # Stages in depth order: (op, first and last local time, top and bottom depth).
     if search:
-        relay = [(_LISTEN, w + 3, end, 0, 0), (_RELAY, w + 3, end, 1, last - 1),
+        relay = [(_LISTEN, w + 3, end, 0, 0), (_RELAY, w + 3, end, 1, deepest - 1),
                  (_DRAIN, w + 2, w + 2, 1, last), (_FIRST, w + 1, w + 1, 1, last)]
         stages = ([(_SEND, 0, w, 0, 0)] + relay * (phase2 and last > 0)
                   + [(_KEY, 1, w, 1, last), (_INITIATE, 0, 0, 1, last)])
     elif last:
-        stages = [(_INITIATE, 0, 0, 0, last - 1), (_COMBINE, 1, w, 0, last - 1),
-                  (_LEAF, 1, w, last, last)]
+        stages = [(_INITIATE, 0, 0, 0, last - 1), (_ROOT, 1, w, 0, 0),
+                  (_COMBINE, 1, w, 1, last - 1), (_LEAF, 1, w, last, last)]
     else:
         return None
-    cycles = []
-    for t in range(end if phase2 else w + h):
-        ranges = []
-        for op, first, final, top, bottom in stages:
+    n = end if phase2 else w + h
+    cycles, interned = [[] for _ in range(n)], {}
+    for op, first, final, top, bottom in stages:
+        # The cycles at which a depth in [top, bottom] is at a local time in [first, final].
+        if search:
+            start, stop = top + first, bottom + final
+        else:
+            start, stop = first + last - bottom, final + last - top
+        for t in range(start, min(stop + 1, n)):
             lo, hi = (t - final, t - first) if search else (first + last - t, final + last - t)
             lo, hi = max(lo, top), min(hi, bottom) + 1
-            if lo < hi:
-                ranges.append((op, lo, hi))
-        cycles.append(tuple(ranges))
-    return tuple(cycles)
+            if lo < hi:  # one object per distinct range and per distinct entry
+                depths = interned.setdefault((lo, hi), range(lo, hi))
+                cycles[t].append(interned.setdefault((op, lo, hi), (op, depths)))
+    return tuple(map(tuple, cycles))
 
 
 class _Level:
@@ -245,69 +264,91 @@ class LoadedTree:
         the control values derived for it to read.  A tournament on a lone
         root never starts: it is refused as the object engine's budget
         refuses it."""
-        levels, w = self.levels, self.w
-        cycles = _schedule(mode is Mode.SEARCH, len(levels), w, phase1_only)
+        levels, w, search = self.levels, self.w, mode is Mode.SEARCH
+        last = deepest = len(levels) - 1
+        if search and not phase1_only:  # the deepest level with an enabled node
+            while deepest and not levels[deepest].mask & ~levels[deepest].perm:
+                deepest -= 1
+        schedule = _schedule if w + 2 * len(levels) <= _KEPT_CYCLES else _schedule.__wrapped__
+        cycles = schedule(search, len(levels), w, phase1_only, deepest)
         if cycles is None:
             raise _budget_exhausted(mode, self.topo.params, default_cycle_budget(self.topo))
         self.rearm(mode, phase1_only=phase1_only)
-        last, root = len(levels) - 1, levels[0]
+        root = levels[0]
         if on_step is not None:
             self._set_control(0)
             on_step(self)
-        key, inv = root.words, mode is Mode.MIN  # searching never rotates
-        for t, ranges in enumerate(cycles):
-            for op, lo, hi in ranges:
-                if op == _COMBINE:  # receive_max; the j-th child plane turns rot to j
-                    for d in range(lo, hi):
-                        lv, below = levels[d], levels[d + 1]
-                        r = t - last + d - 1
-                        kids = below.state ^ below.mask if inv else below.state
-                        s = x = kids & ~lv.links
-                        for shift in lv.shifts:  # OR the child slots together
-                            s |= x >> shift
-                        s &= lv.mask
-                        if d:
-                            own = lv.words[r] ^ lv.mask if inv else lv.words[r]
-                            s |= own & ~lv.link_mem
-                            lv.link_mem |= s & ~own
-                        lv.links |= s * lv.spread & ~kids
-                        lv.state = s ^ lv.mask if inv else s
-                        if not d:
-                            lv.words[r] = lv.state
-                elif op == _RELAY:
-                    for d in range(lo, hi):
-                        lv, s = levels[d], levels[d + 1].state
-                        if s:  # the relay wave is sparse in depth
-                            x = s
-                            for shift in lv.shifts:
-                                s |= x >> shift
-                        lv.state = s & lv.mask  # FIRST spent the match
-                elif op == _KEY:  # key bit j reaches depth d at cycle d + j + 1
-                    for d in range(lo, hi):
-                        lv, j = levels[d], t - d - 1
-                        plane = lv.words[j] if key[j] else ~lv.words[j]
-                        lv.state, lv.match = lv.mask * key[j], lv.match & plane
-                elif op == _LEAF:
-                    lv = levels[last]
-                    msb = lv.words[t - 1]
-                    lv.state = msb | lv.link_mem if inv else msb & ~lv.link_mem
-                elif op == _INITIATE:
-                    for lv in levels[lo:hi]:
+        if search:
+            key = root.words  # searching never rotates
+            for t, entries in enumerate(cycles):
+                for op, depths in entries:
+                    if op == _KEY:  # key bit j reaches depth d at cycle d + j + 1
+                        for d in depths:
+                            lv, j = levels[d], t - d - 1
+                            plane = lv.words[j] if key[j] else ~lv.words[j]
+                            lv.state, lv.match = lv.mask * key[j], lv.match & plane
+                    elif op == _RELAY:
+                        for d in depths:
+                            lv, s = levels[d], levels[d + 1].state
+                            if s:  # the relay wave is sparse in depth
+                                x = s
+                                for shift in lv.shifts:
+                                    s |= x >> shift
+                            lv.state = s & lv.mask  # FIRST spent the match
+                    elif op == _SEND:  # the initiate, then the key MSB first
+                        root.state = 0 if t == w else key[t - 1] if t else 1
+                    elif op == _LISTEN:
+                        if levels[1].state:
+                            root.state = 1
+                    elif op == _INITIATE:
+                        lv = levels[depths.start]
                         lv.state = lv.mask
-                elif op == _SEND:  # the initiate, then the key MSB first
-                    root.state = 0 if t == w else key[t - 1] if t else 1
-                elif op == _LISTEN:
-                    if levels[1].state:
-                        root.state = 1
-                else:  # _FIRST or _DRAIN: no child plane is latched
-                    for lv in levels[lo:hi]:
+                    else:  # _FIRST or _DRAIN: no child plane is latched
+                        lv = levels[depths.start]
                         if op == _FIRST:
                             lv.phase1_match = lv.match
                         lv.state, lv.match = lv.match, 0
-            if on_step is not None:
-                self._set_control(t + 1)
-                on_step(self)
-        if mode is Mode.SEARCH and not phase1_only:
+                if on_step is not None:
+                    self._set_control(t + 1)
+                    on_step(self)
+        else:
+            inv = mode is Mode.MIN
+            for t, entries in enumerate(cycles):
+                for op, depths in entries:
+                    if op == _COMBINE:  # receive_max; the j-th child plane turns rot to j
+                        for d in depths:
+                            lv, below = levels[d], levels[d + 1]
+                            r = t - last + d - 1
+                            kids = below.state ^ below.mask if inv else below.state
+                            s = x = kids & ~lv.links
+                            for shift in lv.shifts:  # OR the child slots together
+                                s |= x >> shift
+                            s &= lv.mask
+                            own = lv.words[r] ^ lv.mask if inv else lv.words[r]
+                            s |= own & ~lv.link_mem
+                            lv.link_mem |= s & ~own
+                            lv.links |= s * lv.spread & ~kids
+                            lv.state = s ^ lv.mask if inv else s
+                    elif op == _ROOT:  # the root enters no word of its own; it writes its state
+                        below = levels[1]
+                        kids = below.state ^ below.mask if inv else below.state
+                        s = x = kids & ~root.links
+                        for shift in root.shifts:
+                            s |= x >> shift
+                        s &= 1
+                        root.links |= s * root.spread & ~kids
+                        root.state = root.words[t - last - 1] = s ^ 1 if inv else s
+                    elif op == _LEAF:
+                        lv = levels[last]
+                        msb = lv.words[t - 1]
+                        lv.state = msb | lv.link_mem if inv else msb & ~lv.link_mem
+                    else:  # _INITIATE
+                        lv = levels[depths.start]
+                        lv.state = lv.mask
+                if on_step is not None:
+                    self._set_control(t + 1)
+                    on_step(self)
+        if search and not phase1_only:
             for d, lv in enumerate(levels):
                 if d and lv.state | lv.match:  # ids grow with depth: the lowest is here
                     i = self.topo.ids(d, lv.state | lv.match)[0]

@@ -115,6 +115,25 @@ MUTANTS = [
     ("planes.py", "                tau = cycle - d\n", "                tau = cycle - d - 1\n", _PLANES),
     # The key stage ends a cycle early:
     ("planes.py", "(_KEY, 1, w, 1, last)", "(_KEY, 1, w - 1, 1, last)", _PLANES),
+    # The root's tournament step keeps the bits its child slots shifted
+    # past it, or writes its word before the min inversion:
+    ("planes.py", "                        s &= 1\n", "", _PLANES),
+    ("planes.py", "root.state = root.words[t - last - 1] = s ^ 1 if inv else s",
+     "root.words[t - last - 1] = s\n                        root.state = s ^ 1 if inv else s",
+     _PLANES),
+    # The root's step is given an op that only the search loop tests for:
+    ("planes.py", "(_ROOT, 1, w, 0, 0)", "(_SEND, 1, w, 0, 0)", _PLANES),
+    # The relay stops one depth short of, or goes one past, the deepest
+    # enabled depth:
+    ("planes.py", "(_RELAY, w + 3, end, 1, deepest - 1)", "(_RELAY, w + 3, end, 1, deepest - 2)",
+     _PLANES),
+    ("planes.py", "(_RELAY, w + 3, end, 1, deepest - 1)", "(_RELAY, w + 3, end, 1, deepest)", _PLANES),
+    # The scan for that depth always stops at the leaves:
+    ("planes.py", "while deepest and not levels[deepest].mask", "while False and not levels[deepest].mask",
+     f"{_PLANES}::test_a_sparse_deep_search_relays_only_above_its_deepest_element"),
+    # Long schedules are cached too:
+    ("planes.py", "schedule = _schedule if w + 2 * len(levels) <= _KEPT_CYCLES else _schedule.__wrapped__",
+     "schedule = _schedule", f"{_PLANES}::test_a_deep_run_leaves_no_schedule_behind"),
     # The load takes the byte lanes in the other byte order:
     ("planes.py", "lane, width = tree[b::size],", "lane, width = tree[size - 1 - b::size],", _PLANES),
     # ... puts a level in breadth-first order, not position order:
@@ -151,6 +170,11 @@ MUTANTS = [
     ("topology.py", "        if self.eta < 1:", "        if False:", _SHAPES),
     ("topology.py", "        if self.height < 1:", "        if False:", _SHAPES),
     ("topology.py", "    if list_len < 0:", "    if False:", _SHAPES),
+    # A sort round counts its matches after it has moved them into perm:
+    ("algorithms.py", "            copies += lv.match.bit_count()\n"
+                      "            lv.perm, lv.match = lv.perm | lv.match, 0\n",
+     "            lv.perm, lv.match = lv.perm | lv.match, 0\n"
+     "            copies += lv.match.bit_count()\n", "tests/test_sort.py"),
     # An empty sort loads nothing, so a lone root is no error:
     ("algorithms.py", "        return SortResult(output=[], cycles_total=0, rounds=0, per_round_cycles=[])",
      "        pass", "tests/test_sort.py::test_empty_list"),

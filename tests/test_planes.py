@@ -32,7 +32,8 @@ from cayley_imc.engine import (
 )
 from cayley_imc.node import Mode
 from cayley_imc.oracle import oracle_search, oracle_sort_desc
-from cayley_imc.planes import LoadedTree, _schedule
+from cayley_imc.planes import (_COMBINE, _DRAIN, _FIRST, _INITIATE, _LEAF, _LISTEN, _RELAY,
+                               _ROOT, _SEND, LoadedTree, _schedule)
 from cayley_imc.topology import TreeParams
 from cayley_imc.tracefile import Recorder, trace_header
 
@@ -361,7 +362,7 @@ def test_an_aborted_run_in_plane_form(topo_2_3_4, mode):
     same abort, and the next run, which starts from the words an aborted
     tournament left part rotated, gives the same result and state."""
     els = [3, 1, 2, 7, 12, 5]
-    length = len(_schedule(mode is Mode.SEARCH, 3, 4, False))
+    length = len(_schedule(mode is Mode.SEARCH, 3, 4, False, 2))
     for cycle in range(1, length + 1):
         twin, tree = _twins(topo_2_3_4, els, mode, 0)
         if mode is Mode.SEARCH:
@@ -385,7 +386,7 @@ def test_an_aborted_run_leaves_the_object_engine_state(topo_2_3_4):
     els = [3, 1, 2, 7, 12, 5]
     for mode, phase1_only in ((Mode.SEARCH, False), (Mode.SEARCH, True), (Mode.MAX, False),
                               (Mode.MIN, False)):
-        length = len(_schedule(mode is Mode.SEARCH, 3, 4, phase1_only))
+        length = len(_schedule(mode is Mode.SEARCH, 3, 4, phase1_only, 2))
         for cycle in range(1, length + 1):
             obj, tree = _twins(topo_2_3_4, els, mode, key=2)
             reset_configuration(obj, mode, phase1_only=phase1_only)
@@ -401,7 +402,7 @@ def _unobserved_and_observed(pair, mode, stop=None, phase1_only=False):
     after cycle ``stop`` by an observer that reads nothing, and those an
     observer reads off ``pair[1]`` on the last cycle of the same run."""
     h, w = len(pair[0].levels), pair[0].w
-    last = len(_schedule(mode is Mode.SEARCH, h, w, phase1_only)) if stop is None else stop
+    last = len(_schedule(mode is Mode.SEARCH, h, w, phase1_only, h - 1)) if stop is None else stop
     seen = []
 
     def observe(t):
@@ -547,26 +548,94 @@ def test_schedule_length_is_the_cycle_formula():
     """A shape's schedule has one entry per cycle of its run."""
     for h in range(1, 13):
         for w in range(1, 17):
-            assert len(_schedule(True, h, w, False)) == w + 2 * h
-            assert len(_schedule(True, h, w, True)) == w + h
-            tournament = _schedule(False, h, w, False)
+            assert len(_schedule(True, h, w, False, h - 1)) == w + 2 * h
+            assert len(_schedule(True, h, w, True, h - 1)) == w + h
+            tournament = _schedule(False, h, w, False, h - 1)
             # A tournament on a lone root has no leaves to start it.
             assert tournament is None if h == 1 else len(tournament) == w + h
 
 
 def test_a_deep_cycle_has_as_few_ranges_as_a_shallow_one():
     """The key bits, the relay and the tournament move as wavefronts, so a
-    cycle of an eta=1 tree of height 2000 needs no more depth ranges than a
-    cycle at height 16, and its ranges are in depth order.  (From height
-    w + 5 on, a search cycle can hold all six of its operations at once.)"""
+    cycle of an eta=1 tree of height 2000 needs no more ``(op, depths)``
+    entries than a cycle at height 16, and its entries are in depth order.
+    (From height w + 5 on, a search cycle can hold all six of its
+    operations at once.)"""
     for search, phase1_only in ((True, False), (True, True), (False, False)):
-        shallow = max(map(len, _schedule(search, 16, 8, phase1_only)))
-        deep = _schedule(search, 2000, 8, phase1_only)
+        shallow = max(map(len, _schedule(search, 16, 8, phase1_only, 15)))
+        deep = _schedule(search, 2000, 8, phase1_only, 1999)
         assert max(map(len, deep)) == shallow <= 6
-        for ranges in deep:
-            bounds = [d for _, lo, hi in ranges for d in (lo, hi)]
+        for entries in deep:
+            bounds = [d for _, depths in entries for d in (depths.start, depths.stop)]
             assert bounds == sorted(bounds) and 0 <= min(bounds, default=0)
             assert max(bounds, default=0) <= 2000
+
+
+def test_single_depth_ops_cover_one_depth_and_combine_skips_the_root():
+    """The run loop reads only the first depth of SEND, LISTEN, INITIATE,
+    FIRST, DRAIN, LEAF and the root's tournament step, so each covers
+    exactly one depth: the root for SEND, LISTEN and ROOT, the leaves for
+    LEAF.  COMBINE, which reads a word plane of its own level, never covers
+    the root, and no entry is empty."""
+    single = {_SEND, _LISTEN, _INITIATE, _FIRST, _DRAIN, _LEAF, _ROOT}
+    for h in range(1, 13):
+        for w in range(1, 10):
+            shapes = [(True, True, h - 1), (False, False, h - 1)]
+            shapes += [(True, False, deepest) for deepest in range(h)]
+            for search, phase1_only, deepest in shapes:
+                for entries in _schedule(search, h, w, phase1_only, deepest) or ():
+                    for op, depths in entries:
+                        assert len(depths) == 1 if op in single else len(depths) >= 1
+                        assert op != _COMBINE or depths.start >= 1
+                        if op in (_SEND, _LISTEN, _ROOT):
+                            assert depths == range(1)
+                        elif op == _LEAF:
+                            assert depths == range(h - 1, h)
+
+
+def test_a_sparse_deep_search_relays_only_above_its_deepest_element(monkeypatch):
+    """A search's reset clears the match of every disabled node, so below
+    the deepest level that holds an enabled node only 0 can rise, and the
+    run relays only above it.  On an eta=1 tree of height 2000 holding
+    three elements, the run's relay covers at most one depth per cycle,
+    not O(h) of them, and every key gets the answer and the matches of a
+    scan."""
+    h, w, els = 2000, 8, [1, 2, 3]  # node 3 is at depth 2
+    tree = load_list(cached_topology(1, h, w), els, Mode.SEARCH, key=0)
+    built, build = [], _schedule.__wrapped__
+
+    def spy(*shape):  # the run builds a schedule this long afresh, uncached
+        built.append(build(*shape))
+        return built[-1]
+
+    monkeypatch.setattr(_schedule, "__wrapped__", spy)
+    for key in range(5):
+        got = search(tree, key, collect_matches=True)
+        assert got.cycles == w + 2 * h == len(built[-1])
+        assert got.found == oracle_search(els, key), key
+        assert got.matched_nodes == {i for i, x in enumerate(els, 1) if x == key}
+        relays = sum(len(depths) for entries in built.pop() for op, depths in entries
+                     if op == _RELAY)
+        assert relays <= w + 2 * h, key
+
+
+def test_a_deep_run_leaves_no_schedule_behind():
+    """Only a short schedule is cached, since a long one holds O(cycles)
+    entries: a search's schedule at eta=1, h=5000 holds about 5 MB.  After
+    a search and after a max there, with the tree dropped, less than 1 MB
+    of what the run allocated is still held (the interpreter's tuple free
+    lists keep some of it)."""
+    topo = cached_topology(1, 5000, 8)
+    for mode, run in ((Mode.SEARCH, partial(search, key=3)), (Mode.MAX, compute_max)):
+        tree = load_list(topo, [1, 2, 3], mode, key=0)
+        tracemalloc.start()
+        try:
+            run(tree)
+            del tree
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, (mode, kept)
 
 
 def test_sort_refuses_a_round_that_retires_nothing(topo_2_3_4, monkeypatch):
