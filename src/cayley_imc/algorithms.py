@@ -13,8 +13,7 @@ disable their memories, repeat.  Each round retires one distinct value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Sequence
 
 # Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
 from .engine import ProtocolError, run_until_quiescent  # noqa: F401
@@ -42,21 +41,18 @@ if TYPE_CHECKING:
     StepObserver = Callable[[LoadedTree], object]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     found: int
     cycles: int
     matched_nodes: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class ExtremumResult:
+class ExtremumResult(NamedTuple):
     value: int
     cycles: int
 
 
-@dataclass(frozen=True)
-class SortResult:
+class SortResult(NamedTuple):
     output: list[int]
     cycles_total: int
     rounds: int
@@ -184,12 +180,8 @@ def sort(topo: CayleyTopology, elements: Sequence[int],
         remaining -= copies
         output.extend([value] * copies)
         per_round.append(cycles_a + cycles_b)
-    return SortResult(
-        output=output,
-        cycles_total=sum(per_round),
-        rounds=len(per_round),
-        per_round_cycles=per_round,
-    )
+    return SortResult(output=output, cycles_total=sum(per_round), rounds=len(per_round),
+                      per_round_cycles=per_round)
 
 
 def resource_report(params: TreeParams, scheme: Literal["search", "sort"]) -> int:

@@ -47,6 +47,30 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message.replace("\n", "\\n"))
 
 
+# Every number the platform can use fits in 64 bits, whose limit has 20 digits.
+_MAX_DIGITS = len(str(1 << MAX_WORD_SIZE))
+
+
+def _shown(digits: str) -> str:
+    """A number's digits for a message: past _MAX_DIGITS, the first ones and their count."""
+    return (digits if len(digits) <= _MAX_DIGITS
+            else f"{digits[:_MAX_DIGITS]}... ({len(digits)} digits)")
+
+
+def _integer(text: str) -> int:
+    """The integer options' reader: an optional sign and ASCII digits, read as
+    a list's values are: leading zeros dropped, the digits counted before int()."""
+    sign = text[:1] if text.startswith(("+", "-")) else ""
+    digits = text[len(sign):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"value {sign}{_shown(digits)} is over the limit of {_MAX_DIGITS} digits")
+    return int(sign + digits)
+
+
 def parse_input(text: str, word_size: int) -> list[int]:
     """Parse a list of non-negative decimal integers.
 
@@ -70,7 +94,8 @@ def parse_input(text: str, word_size: int) -> list[int]:
         if not (token.isascii() and token.isdigit()):
             problem = f"{token!r} is not a non-negative decimal integer"
         elif len(digits) > places or (value := int(digits)) >= limit:
-            problem = f"value {digits} does not fit in a {word_size}-bit word (max {limit - 1})"
+            problem = (f"value {_shown(digits)} does not fit in a {word_size}-bit word "
+                       f"(max {limit - 1})")
         else:
             values.append(value)
             continue
@@ -263,9 +288,10 @@ def _run_bench(args: argparse.Namespace) -> int:
             raise InputError(f"--sizes entry {entry!r} is not a non-negative integer")
         digits = entry.lstrip("0") or "0"  # sized before int(), which caps its digits
         if len(digits) > len(str(MAX_NODES)):
-            raise InputError(f"--sizes entry {entry} needs over the limit of {MAX_NODES} nodes")
+            raise InputError(
+                f"--sizes entry {_shown(digits)} needs over the limit of {MAX_NODES} nodes")
         sizes.append(int(digits))
-        check_nodes(sizes[-1] + 1, f"--sizes entry {entry}")
+        check_nodes(sizes[-1] + 1, f"--sizes entry {digits}")
     limit = 1 << args.word_size
     rows = []
     for size in sizes:
@@ -288,17 +314,17 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=int, default=2, help="branching order (default 2)")
-    p.add_argument("--word-size", type=int, default=8, dest="word_size",
+    p.add_argument("--eta", type=_integer, default=2, help="branching order (default 2)")
+    p.add_argument("--word-size", type=_integer, default=8, dest="word_size",
                    help="bits per memory word (default 8)")
-    p.add_argument("--height", type=int, default=None,
+    p.add_argument("--height", type=_integer, default=None,
                    help="tree height; default is the smallest that fits the list")
     p.add_argument("--json", action="store_true", help="emit one JSON object")
     p.add_argument("--input", help="path to a list file")
     p.add_argument("--list", help="inline comma/space separated list")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="generate a random list from this seed")
-    p.add_argument("--count", type=int, default=10,
+    p.add_argument("--count", type=_integer, default=10,
                    help="length of a generated list (default 10)")
 
 
@@ -319,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         _add_common(p)
         if name == "search":
-            p.add_argument("--key", type=int, default=None, help="key to search for")
+            p.add_argument("--key", type=_integer, default=None, help="key to search for")
         elif name == "sort":
             p.add_argument("--order", choices=("desc", "asc"), default="desc",
                            help="output order (default desc)")
@@ -335,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace_file", help="trace file written by --trace-out")
 
     p = sub.add_parser("bench", help="compare with the classic sorters")
-    p.add_argument("--eta", type=int, default=2)
-    p.add_argument("--word-size", type=int, default=8, dest="word_size")
+    p.add_argument("--eta", type=_integer, default=2)
+    p.add_argument("--word-size", type=_integer, default=8, dest="word_size")
     p.add_argument("--sizes", default="8,32,128",
                    help="comma-separated list sizes (default 8,32,128)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
     return parser
 
 

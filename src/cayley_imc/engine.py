@@ -14,7 +14,6 @@ for search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .node import (
@@ -49,7 +48,6 @@ class QuiescenceError(ProtocolError):
     """A run exhausted its cycle budget without reaching quiescence."""
 
 
-@dataclass
 class Configuration:
     """Global snapshot: one NodeState per node plus the cycle counter.
 
@@ -58,17 +56,14 @@ class Configuration:
     sorting uses it to read the settled match flags.
     """
 
-    topo: CayleyTopology
-    nodes: list[NodeState]
-    mode: Mode = Mode.IDLE
-    global_cycle: int = 0
-    phase1_only: bool = False
+    __slots__ = ("topo", "nodes", "mode", "global_cycle", "phase1_only")
 
-    def __post_init__(self) -> None:
-        if len(self.nodes) != self.topo.n:
-            raise ValueError(
-                f"configuration has {len(self.nodes)} nodes, topology has {self.topo.n}"
-            )
+    def __init__(self, topo: CayleyTopology, nodes: list[NodeState], mode: Mode = Mode.IDLE,
+                 global_cycle: int = 0, phase1_only: bool = False) -> None:
+        if len(nodes) != topo.n:
+            raise ValueError(f"configuration has {len(nodes)} nodes, topology has {topo.n}")
+        self.topo, self.nodes, self.mode = topo, nodes, mode
+        self.global_cycle, self.phase1_only = global_cycle, phase1_only
 
     @property
     def root(self) -> NodeState:

@@ -28,7 +28,6 @@ engine may evaluate nodes in any order within a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -61,7 +60,6 @@ class Mode(Enum):
     IDLE = "idle"
 
 
-@dataclass
 class NodeFlags:
     """One node's flag registers.
 
@@ -71,12 +69,13 @@ class NodeFlags:
     up as 1 after every reset, so the node's word sits out all later rounds.
     """
 
-    state: int = 0
-    start: int = 0
-    match: int = 1
-    link_mem: int = 0
-    link_child: list[int] = field(default_factory=list)
-    perm_disabled: int = 0
+    __slots__ = ("state", "start", "match", "link_mem", "link_child", "perm_disabled")
+
+    def __init__(self, state: int = 0, start: int = 0, match: int = 1, link_mem: int = 0,
+                 link_child: list[int] | None = None, perm_disabled: int = 0) -> None:
+        self.state, self.start, self.match, self.link_mem = state, start, match, link_mem
+        self.link_child = [] if link_child is None else link_child
+        self.perm_disabled = perm_disabled
 
 
 class Inbox:
@@ -126,22 +125,8 @@ class NodeState:
     tournament) and 1 for min (an AND tournament).
     """
 
-    __slots__ = (
-        "id",
-        "role",
-        "depth",
-        "n_children",
-        "width",
-        "word",
-        "flags",
-        "local_clock",
-        "inbox",
-        "acted",
-        "neutral",
-        "writes",
-        "listen_steps",
-        "phase1_match",
-    )
+    __slots__ = ("id", "role", "depth", "n_children", "width", "word", "flags", "local_clock",
+                 "inbox", "acted", "neutral", "writes", "listen_steps", "phase1_match")
 
     def __init__(self, node_id: int, role: Role, depth: int, width: int, word: int,
                  n_children: int) -> None:

@@ -8,7 +8,7 @@ the element comparisons it performs.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 __all__ = [
     "OracleReport",
@@ -19,11 +19,8 @@ __all__ = [
     "run_baseline",
 ]
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     agreed: int
     detail: str = ""
 
@@ -31,10 +28,8 @@ class OracleReport:
 def compare(expected: object, actual: object) -> OracleReport:
     if expected == actual:
         return OracleReport(agreed=1)
-    return OracleReport(
-        agreed=0,
-        detail=f"simulator answered {actual!r}, oracle says {expected!r}",
-    )
+    return OracleReport(agreed=0,
+                        detail=f"simulator answered {actual!r}, oracle says {expected!r}")
 
 
 def oracle_search(elements: Sequence[int], key: int) -> int:

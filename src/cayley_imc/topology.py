@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, repeat
 from operator import mul
+from typing import NamedTuple
 
 __all__ = [
     "Role",
@@ -58,22 +58,25 @@ class Role(Enum):
     LEAF = "leaf"
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Shape of the platform: branching order, height, and word width."""
-
+class _Shape(NamedTuple):
     eta: int
     height: int
     word_size: int
 
-    def __post_init__(self) -> None:
-        if self.eta < 1:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
-        if self.height < 1:
-            raise ValueError(f"height must be >= 1, got {self.height}")
-        if not 1 <= self.word_size <= MAX_WORD_SIZE:
-            raise ValueError(
-                f"word_size must be in 1..{MAX_WORD_SIZE}, got {self.word_size}")
+
+class TreeParams(_Shape):
+    """Shape of the platform: branching order, height, and word width."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta: int, height: int, word_size: int) -> TreeParams:
+        if eta < 1:
+            raise ValueError(f"eta must be >= 1, got {eta}")
+        if height < 1:
+            raise ValueError(f"height must be >= 1, got {height}")
+        if not 1 <= word_size <= MAX_WORD_SIZE:
+            raise ValueError(f"word_size must be in 1..{MAX_WORD_SIZE}, got {word_size}")
+        return super().__new__(cls, eta, height, word_size)
 
 
 def node_count(eta: int, height: int) -> int:
@@ -127,8 +130,7 @@ def required_height(eta: int, list_len: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class CayleyTopology:
+class CayleyTopology(NamedTuple):
     """One finite Cayley tree, as arithmetic on its breadth-first node ids:
     depth ``d`` holds ids ``offsets[d]`` up to ``offsets[d + 1]``, and
     ``offsets[h]`` is ``n``.  Instances are safe to share across concurrent

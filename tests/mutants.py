@@ -34,6 +34,8 @@ _REFUSED = "tests/test_planes.py::test_bad_loads_and_runs_are_refused"
 _USAGE = "tests/test_cli.py::test_usage_errors_exit_1_with_one_line"
 _PLANES = "tests/test_planes.py"
 _SHAPES = "tests/test_topology.py::TestBuildTopology::test_bad_shapes_are_refused"
+_RECORDS = "tests/test_records.py"
+_LONG = "tests/test_cli.py::test_an_over_long_number_is_refused_with_one_line"
 _IDS = ("tests/test_topology.py::TestArithmetic "
         "tests/test_planes.py::test_matches_and_the_live_set_are_the_ids_a_scan_finds")
 
@@ -167,9 +169,15 @@ MUTANTS = [
     ("algorithms.py", "        if not 0 <= key < limit:", "        if False:", _REFUSED),
     ("algorithms.py", 'raise ValueError(f"unknown scheme {scheme!r}")', "return 0", _REFUSED),
     ("planes.py", "        if mode is Mode.IDLE:", "        if False:", _REFUSED),
-    ("topology.py", "        if self.eta < 1:", "        if False:", _SHAPES),
-    ("topology.py", "        if self.height < 1:", "        if False:", _SHAPES),
+    ("topology.py", "        if eta < 1:", "        if False:", _SHAPES),
+    ("topology.py", "        if height < 1:", "        if False:", _SHAPES),
     ("topology.py", "    if list_len < 0:", "    if False:", _SHAPES),
+    # The records.  TreeParams instances get a dict, or their fields swapped:
+    ("topology.py", "    __slots__ = ()\n", "", _RECORDS),
+    ("topology.py", "super().__new__(cls, eta, height, word_size)",
+     "super().__new__(cls, height, eta, word_size)", _RECORDS),
+    # A configuration of the wrong size is taken:
+    ("engine.py", "        if len(nodes) != topo.n:", "        if False:", _RECORDS),
     # A sort round counts its matches after it has moved them into perm:
     ("algorithms.py", "            copies += lv.match.bit_count()\n"
                       "            lv.perm, lv.match = lv.perm | lv.match, 0\n",
@@ -191,9 +199,19 @@ MUTANTS = [
      "tests/test_cli.py::TestParseInput"),
     ("cli.py", 'start - text.rfind("\\n", 0, start)', 'start - text.rfind("\\n", 0, start) - 1',
      "tests/test_cli.py::TestParseInput"),
-    # bench hands a --sizes entry of any length to int():
-    ("cli.py", "        if len(digits) > len(str(MAX_NODES)):", "        if False:",
-     "tests/test_cli.py::test_an_over_long_number_is_refused_with_one_line"),
+    # bench hands a --sizes entry of any length to int(), or echoes its zeros:
+    ("cli.py", "        if len(digits) > len(str(MAX_NODES)):", "        if False:", _LONG),
+    ("cli.py", 'check_nodes(sizes[-1] + 1, f"--sizes entry {digits}")',
+     'check_nodes(sizes[-1] + 1, f"--sizes entry {entry}")', _LONG),
+    # A message echoes a long number whole:
+    ("cli.py", "return (digits if len(digits) <= _MAX_DIGITS", "return (digits if True", _LONG),
+    # The integer options hand a value of any length to int(), read it
+    # with its zeros counted, or drop its sign:
+    ("cli.py", "    if len(digits) > _MAX_DIGITS:", "    if False:", _LONG),
+    ("cli.py", '    digits = digits.lstrip("0") or "0"\n', "",
+     "tests/test_cli.py::test_zero_padded_numbers_are_accepted"),
+    ("cli.py", "    return int(sign + digits)", "    return int(digits)",
+     "tests/test_cli.py::test_sizes_past_a_cap_are_refused"),
     ("cli.py", '        raise InputError("info needs --height or an input list")', "        pass", _USAGE),
     ("cli.py", "        if not 0 <= key < limit:", "        if False:", _USAGE),
     ("cli.py", '        pairs.insert(6, ("elements", n_elements))', "        pass",

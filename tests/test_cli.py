@@ -14,6 +14,8 @@ from cayley_imc.topology import MAX_NODES, MAX_WORD_SIZE, Role, TreeParams, buil
 # string: each number from outside is sized by its digits first.
 _LONG = "9" * 5000
 _PADDED_7 = "0" * 5000 + "7"
+# How a message shows that number: its first 20 digits and its digit count.
+_LONG_SHOWN = "9" * 20 + "... (5000 digits)"
 
 class TestParseInput:
     def test_worked_example_list(self):
@@ -67,7 +69,7 @@ class TestParseInput:
         with pytest.raises(InputError) as err:
             parse_input(f"# {_LONG}\n1 2\n3, {_LONG}", 8)
         assert str(err.value) == \
-            f"line 3, column 4: value {_LONG} does not fit in a 8-bit word (max 255)"
+            f"line 3, column 4: value {_LONG_SHOWN} does not fit in a 8-bit word (max 255)"
 
     def test_zero_padding_is_read_by_its_digits(self):
         assert parse_input(f"{_PADDED_7},00255\n0000", 8) == [7, 255, 0]
@@ -572,10 +574,18 @@ def test_sizes_past_a_cap_are_refused(capsys, argv, needle):
 
 @pytest.mark.parametrize("argv,message", [
     (("max", "--list", f"1,{_LONG}"),
-     f"line 1, column 3: value {_LONG} does not fit in a 8-bit word (max 255)"),
+     f"line 1, column 3: value {_LONG_SHOWN} does not fit in a 8-bit word (max 255)"),
     (("bench", "--sizes", f"4,{_LONG}"),
-     f"--sizes entry {_LONG} needs over the limit of {MAX_NODES} nodes"),
-], ids=["list", "sizes"])
+     f"--sizes entry {_LONG_SHOWN} needs over the limit of {MAX_NODES} nodes"),
+    (("search", "--list", "1", "--key", _LONG),
+     f"argument --key: value {_LONG_SHOWN} is over the limit of 20 digits"),
+    (("max", "--seed", f"-{_PADDED_7}{_LONG}"),
+     "argument --seed: value -7" + "9" * 19 + "... (5001 digits) is over the limit of 20 digits"),
+    (("bench", "--eta", "1" + "0" * 20),
+     "argument --eta: value 1" + "0" * 19 + "... (21 digits) is over the limit of 20 digits"),
+    (("bench", "--sizes", "0" * 5000 + "5000000"),
+     f"--sizes entry 5000000 needs 5000001 nodes, over the limit of {MAX_NODES}"),
+], ids=["list", "sizes", "key", "signed-seed", "bench-eta", "padded-sizes"])
 def test_an_over_long_number_is_refused_with_one_line(capsys, argv, message):
     status, out, err = run_cli(capsys, *argv)
     assert (status, out, err) == (1, "", f"error: {message}\n")
@@ -586,13 +596,17 @@ def test_an_over_long_value_in_an_input_file_is_named(capsys, tmp_path):
     path.write_text(f"# values\n1 2\n  {_LONG}\n")
     status, out, err = run_cli(capsys, "max", "--input", str(path))
     assert (status, out) == (1, "")
-    assert err == f"error: line 3, column 3: value {_LONG} does not fit in a 8-bit word (max 255)\n"
+    assert err == \
+        f"error: line 3, column 3: value {_LONG_SHOWN} does not fit in a 8-bit word (max 255)\n"
 
 
 @pytest.mark.parametrize("argv,line", [
     (("max", "--list", f"1,{_PADDED_7},3"), "value: 7"),
     (("bench", "--sizes", f"{_PADDED_7},0010"), "7 in-memory 154 -"),
-], ids=["list", "sizes"])
+    (("search", "--list", "1,7", "--key", _PADDED_7), "found: yes"),
+    (("max", "--seed", f"-{_PADDED_7}", "--count", f"000{_PADDED_7}"), "elements: 7"),
+    (("bench", "--eta", _PADDED_7, "--sizes", "7"), "7 in-memory 140 -"),
+], ids=["list", "sizes", "key", "seed-and-count", "bench-eta"])
 def test_zero_padded_numbers_are_accepted(capsys, argv, line):
     status, out, _ = run_cli(capsys, *argv)
     assert status == 0 and line.split() in map(str.split, out.splitlines()), out

@@ -60,7 +60,10 @@ def _scan(text, word_size):
                 if not (token.isascii() and token.isdigit()):
                     return f"{where}: {token!r} is not a non-negative decimal integer"
                 if int(token) >= limit:
-                    return (f"{where}: value {int(token)} does not fit in a {word_size}-bit word "
+                    value = str(int(token))  # past 20 digits, its first 20 and their count
+                    if len(value) > 20:
+                        value = f"{value[:20]}... ({len(value)} digits)"
+                    return (f"{where}: value {value} does not fit in a {word_size}-bit word "
                             f"(max {limit - 1})")
                 values.append(int(token))
     return values

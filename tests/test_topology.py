@@ -207,7 +207,8 @@ class TestArithmetic:
     def test_parent_and_children_equal_an_eager_build(self, eta, height):
         assume(node_count(eta, height) <= 40_000)
         topo = build_topology(TreeParams(eta, height, 4))
-        assert set(vars(topo)) == {"params", "n", "offsets"}  # nothing per node
+        # Nothing per node: three fields and no instance dict to hang more on.
+        assert topo._fields == ("params", "n", "offsets") and not hasattr(topo, "__dict__")
         for i, (parent, children, role, depth) in enumerate(_breadth_first(eta, height)):
             assert topo.parent(i) == parent, i
             assert tuple(topo.children(i)) == children, i
