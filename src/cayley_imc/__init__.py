@@ -18,8 +18,7 @@ from .algorithms import (
     search,
     sort,
 )
-from .engine import ProtocolError, QuiescenceError
-from .node import Mode
+from .planes import Mode, ProtocolError, QuiescenceError
 from .topology import (
     CayleyTopology,
     Role,

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Sequence
 
-# Unused here, but perfbench/tracing.py replaces run_until_quiescent in this namespace.
-from .engine import ProtocolError, run_until_quiescent  # noqa: F401
-from .node import Mode
-from .planes import LoadedTree
+from .planes import LoadedTree, Mode, ProtocolError
 from .topology import CayleyTopology, TreeParams, node_count
 
 __all__ = [
@@ -33,6 +30,15 @@ __all__ = [
     "sort",
     "resource_report",
 ]
+
+
+def __getattr__(name: str):
+    # For perfbench/tracing.py, which wraps the spec's run here (until ROADMAP item 1B).
+    if name == "run_until_quiescent":
+        from .engine import run_until_quiescent
+        return run_until_quiescent
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 if TYPE_CHECKING:
     # Per-cycle observer of LoadedTree.run.  Only type checkers build it: a

@@ -20,8 +20,8 @@ import re
 import sys
 from typing import Sequence
 
-from . import algorithms, engine, oracle
-from .node import Mode
+from . import algorithms, oracle
+from .planes import Mode, ProtocolError
 from .topology import (MAX_NODES, MAX_WORD_SIZE, TreeParams, build_topology, check_nodes,
                        level_sizes, node_count, required_height)
 from .tracefile import Divergence, Recorder, verify
@@ -43,18 +43,35 @@ class _Parser(argparse.ArgumentParser):
     inherit the class."""
 
     def error(self, message: str):
-        # Unrecognized arguments are quoted raw; keep the message one line.
-        raise InputError(message.replace("\n", "\\n"))
+        # Unrecognized arguments are quoted raw; keep the message one short line.
+        raise InputError(_cut_echoes(message.replace("\n", "\\n")))
 
 
 # Every number the platform can use fits in 64 bits, whose limit has 20 digits.
 _MAX_DIGITS = len(str(1 << MAX_WORD_SIZE))
+# The words of a message: a token's repr (blanks and escaped quotes in it) or
+# a bare run; and a number that _shown has cut.
+_WORD = re.compile(r"""'(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*"|[^\s'"]+""")
+_CUT_NUMBER = re.compile(r"[+-]?[0-9]{%d}\.\.\." % _MAX_DIGITS)
 
 
 def _shown(digits: str) -> str:
     """A number's digits for a message: past _MAX_DIGITS, the first ones and their count."""
     return (digits if len(digits) <= _MAX_DIGITS
             else f"{digits[:_MAX_DIGITS]}... ({len(digits)} digits)")
+
+
+def _cut_echoes(text: str) -> str:
+    """``text`` with each word past _MAX_DIGITS characters, inside its quotes,
+    cut to its first ones and its length, as _shown cuts a number."""
+    def cut(word: re.Match) -> str:
+        run = word.group()
+        quote = run[0] if run[0] in "'\"" else ""
+        inner = run[len(quote):len(run) - len(quote)]
+        if len(inner) <= _MAX_DIGITS or _CUT_NUMBER.fullmatch(run):
+            return run
+        return f"{quote}{inner[:_MAX_DIGITS]}{quote}... ({len(inner)} characters)"
+    return _WORD.sub(cut, text)
 
 
 def _integer(text: str) -> int:
@@ -92,7 +109,7 @@ def parse_input(text: str, word_size: int) -> list[int]:
         token = token_match.group()
         digits = token.lstrip("0") or "0"  # sized before int(), which caps its digits
         if not (token.isascii() and token.isdigit()):
-            problem = f"{token!r} is not a non-negative decimal integer"
+            problem = f"{_cut_echoes(repr(token))} is not a non-negative decimal integer"
         elif len(digits) > places or (value := int(digits)) >= limit:
             problem = (f"value {_shown(digits)} does not fit in a {word_size}-bit word "
                        f"(max {limit - 1})")
@@ -285,7 +302,8 @@ def _run_bench(args: argparse.Namespace) -> int:
     sizes: list[int] = []
     for entry in filter(None, map(str.strip, args.sizes.split(","))):
         if not (entry.isascii() and entry.isdigit()):
-            raise InputError(f"--sizes entry {entry!r} is not a non-negative integer")
+            raise InputError(
+                f"--sizes entry {_cut_echoes(repr(entry))} is not a non-negative integer")
         digits = entry.lstrip("0") or "0"  # sized before int(), which caps its digits
         if len(digits) > len(str(MAX_NODES)):
             raise InputError(
@@ -386,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except engine.ProtocolError as exc:
+    except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,7 +9,8 @@ evaluation order never changes the outcome; runs are fully deterministic.
 Termination is detected centrally by observing per-node progress counters
 rather than by extra wire signals: the root's data-write count and the
 leaves' send clocks for max/min, the relay drain after the key broadcast
-for search.
+for search.  With ``node.py`` this is the spec the tests hold the bit planes
+to; no run imports it, and it re-exports the errors and budget of ``planes``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .node import (
     send_max,
     send_search,
 )
-from .topology import CayleyTopology, TreeParams
+from .planes import ProtocolError, QuiescenceError, _budget_exhausted, default_cycle_budget
+from .topology import CayleyTopology
 
 __all__ = [
     "Configuration",
@@ -38,14 +40,6 @@ __all__ = [
     "snapshot",
     "default_cycle_budget",
 ]
-
-
-class ProtocolError(RuntimeError):
-    """The simulated protocol violated one of its own guarantees."""
-
-
-class QuiescenceError(ProtocolError):
-    """A run exhausted its cycle budget without reaching quiescence."""
 
 
 class Configuration:
@@ -195,12 +189,6 @@ def _validate_quiescent(cfg: Configuration) -> None:
                 )
 
 
-def default_cycle_budget(topo: CayleyTopology) -> int:
-    """Generous step budget; exceeding it means the protocol is broken."""
-    p = topo.params
-    return 4 * (p.word_size + 2 * p.height + 2)
-
-
 def run_until_quiescent(
     cfg: Configuration,
     max_cycles: int,
@@ -225,13 +213,6 @@ def run_until_quiescent(
             _validate_quiescent(cfg)
             return cfg, cfg.global_cycle - start
     raise _budget_exhausted(cfg.mode, cfg.topo.params, max_cycles)
-
-
-def _budget_exhausted(mode: Mode, p: TreeParams, max_cycles: int) -> QuiescenceError:
-    return QuiescenceError(
-        f"{mode.value} run not quiescent after {max_cycles} cycles "
-        f"(eta={p.eta}, h={p.height}, w={p.word_size})"
-    )
 
 
 def snapshot(cfg: Configuration,

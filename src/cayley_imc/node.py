@@ -23,14 +23,15 @@ clock counts its own send steps, which makes the clock thresholds in the
 transition rules line up with the bit indices they compare against.
 
 Transitions read only the node's own state and its latched inbox, so the
-engine may evaluate nodes in any order within a cycle.
+engine may evaluate nodes in any order within a cycle.  They are the spec
+``planes`` is held to, and no run imports them; ``Mode`` is imported from it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
+from .planes import Mode
 from .topology import CayleyTopology, Role
 
 __all__ = [
@@ -51,13 +52,6 @@ __all__ = [
 def _rotl(word: int, w: int) -> int:
     """One-bit left rotation of a ``w``-bit word: the MSB wraps to the LSB."""
     return ((word << 1) | (word >> (w - 1))) & ((1 << w) - 1)
-
-
-class Mode(Enum):
-    SEARCH = "search"
-    MAX = "max"
-    MIN = "min"
-    IDLE = "idle"
 
 
 class NodeFlags:

@@ -35,24 +35,52 @@ clock, ``start`` and rotation) are derived from (mode, ``phase1_only``,
 cycle) before each of its calls.
 
 The operations mirror the transition functions of ``node.py``, leaving out
-only relay cycles of the leaves that change nothing.  The object engine
-(``engine.step`` over those functions) stays the executable specification:
-after every cycle the tests pack its nodes into planes, level by level,
-and compare them with the tree's.
+only relay cycles of the leaves that change nothing.  The object engine over
+them is the executable spec: the tests pack its nodes into planes after each
+cycle and compare them with the tree's.  It imports ``Mode``, the protocol
+errors and the cycle budget from here, so that no run imports it.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
-from .engine import ProtocolError, _budget_exhausted, default_cycle_budget
-from .node import Mode
-from .topology import CayleyTopology
+from .topology import CayleyTopology, TreeParams
 
-__all__ = ["LoadedTree"]
+__all__ = ["LoadedTree", "Mode", "ProtocolError", "QuiescenceError", "default_cycle_budget"]
+
+
+class Mode(Enum):
+    SEARCH = "search"
+    MAX = "max"
+    MIN = "min"
+    IDLE = "idle"
+
+
+class ProtocolError(RuntimeError):
+    """The simulated protocol violated one of its own guarantees."""
+
+
+class QuiescenceError(ProtocolError):
+    """A run exhausted its cycle budget without reaching quiescence."""
+
+
+def default_cycle_budget(topo: CayleyTopology) -> int:
+    """Generous step budget; exceeding it means the protocol is broken."""
+    p = topo.params
+    return 4 * (p.word_size + 2 * p.height + 2)
+
+
+def _budget_exhausted(mode: Mode, p: TreeParams, max_cycles: int) -> QuiescenceError:
+    return QuiescenceError(
+        f"{mode.value} run not quiescent after {max_cycles} cycles "
+        f"(eta={p.eta}, h={p.height}, w={p.word_size})"
+    )
+
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # The masked swaps of an 8x8 bit transpose of each 8-byte block (Hacker's

@@ -15,13 +15,12 @@ import json
 import re
 import struct
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import takewhile
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .node import Mode
-from .planes import LoadedTree
+from .planes import LoadedTree, Mode
 from .topology import _BITS, CayleyTopology, TreeParams, build_topology, node_count
 
 __all__ = ["trace_header", "Recorder", "Divergence", "verify", "parse_trace", "tree_from_events"]
@@ -162,15 +161,17 @@ def verify(text: str) -> tuple[int, int]:
     with contextlib.suppress(Exception):  # the parsed comparison raises or reports it again
         return _replay_text(text)
     segments = parse_trace(text.split("\n"))
+    # Records compare as sorted-key JSON, where == would take true and 1.0 for 1.
+    exact = partial(json.dumps, separators=(",", ":"), sort_keys=True)
     for seg_idx, (meta, events) in enumerate(segments):
         tree, out = tree_from_events(meta, events), []
         tree.run(tree.mode, phase1_only=tree.phase1_only,
                  on_step=Recorder(lambda chunk: out.extend(chunk.splitlines())))
         replayed = list(map(json.loads, out[1:]))  # after the header
-        if replayed != events:
+        if list(map(exact, replayed)) != list(map(exact, events)):
             report = [f"trace: segment {seg_idx} diverges from replay"]
             for i, (a, b) in enumerate(zip(events, replayed)):
-                if a != b:
+                if exact(a) != exact(b):
                     report += [f"  first difference at event {i}:",
                                f"    recorded: {json.dumps(a, separators=(',', ':'))}",
                                f"    replayed: {json.dumps(b, separators=(',', ':'))}"]

@@ -36,6 +36,7 @@ _PLANES = "tests/test_planes.py"
 _SHAPES = "tests/test_topology.py::TestBuildTopology::test_bad_shapes_are_refused"
 _RECORDS = "tests/test_records.py"
 _LONG = "tests/test_cli.py::test_an_over_long_number_is_refused_with_one_line"
+_BAD = "tests/test_cli.py::test_a_malformed_token_is_cut_to_one_short_line"
 _IDS = ("tests/test_topology.py::TestArithmetic "
         "tests/test_planes.py::test_matches_and_the_live_set_are_the_ids_a_scan_finds")
 
@@ -54,6 +55,13 @@ MUTANTS = [
                      "                break\n", "", _AS_TEXT),
     # A comparison that always passes:
     ("tracefile.py", "        if not at(chunk):\n", "        if False:\n", _TRACE),
+    # The parsed comparison takes true for 1 and 1.0 for 1:
+    ("tracefile.py", "if list(map(exact, replayed)) != list(map(exact, events)):",
+     "if replayed != events:", _TRACE),
+    # ... or an equal record with its keys in another order for a difference:
+    ("tracefile.py", 'exact = partial(json.dumps, separators=(",", ":"), sort_keys=True)',
+     'exact = partial(json.dumps, separators=(",", ":"))',
+     f"{_FUZZ}::test_text_first_replay_reports_what_the_parsed_comparison_reports"),
     # A divergence that is never raised:
     ("tracefile.py", 'raise Divergence("\\n".join(report))', "pass", _TRACE),
     # ... or that exits 0:
@@ -178,6 +186,21 @@ MUTANTS = [
      "super().__new__(cls, height, eta, word_size)", _RECORDS),
     # A configuration of the wrong size is taken:
     ("engine.py", "        if len(nodes) != topo.n:", "        if False:", _RECORDS),
+    # The run path imports the spec again: algorithms eagerly, or planes
+    # takes Mode from node; or the spec's Mode is its own; or the tracer's
+    # hook answers every name the engine has:
+    ("algorithms.py", "from .planes import LoadedTree, Mode, ProtocolError\n",
+     "from .engine import run_until_quiescent  # noqa: F401\n"
+     "from .planes import LoadedTree, Mode, ProtocolError\n", _RECORDS),
+    ("planes.py", "\n\nclass ProtocolError(RuntimeError):",
+     "\nfrom .node import Mode  # noqa: E402\n\n\nclass ProtocolError(RuntimeError):", _RECORDS),
+    ("node.py", "from .planes import Mode\n",
+     "from enum import Enum\n\n\nclass Mode(Enum):\n"
+     "    SEARCH = \"search\"\n    MAX = \"max\"\n    MIN = \"min\"\n    IDLE = \"idle\"\n", _RECORDS),
+    ("algorithms.py", "    if name == \"run_until_quiescent\":\n"
+                      "        from .engine import run_until_quiescent\n"
+                      "        return run_until_quiescent\n",
+     "    from . import engine\n    return getattr(engine, name)\n", _RECORDS),
     # A sort round counts its matches after it has moved them into perm:
     ("algorithms.py", "            copies += lv.match.bit_count()\n"
                       "            lv.perm, lv.match = lv.perm | lv.match, 0\n",
@@ -205,6 +228,12 @@ MUTANTS = [
      'check_nodes(sizes[-1] + 1, f"--sizes entry {entry}")', _LONG),
     # A message echoes a long number whole:
     ("cli.py", "return (digits if len(digits) <= _MAX_DIGITS", "return (digits if True", _LONG),
+    # ... or a malformed token: argparse's messages are not cut, or are cut
+    # with the quotes counted, or a number _shown has cut is cut again:
+    ("cli.py", "raise InputError(_cut_echoes(message.replace(", "raise InputError((message.replace(",
+     _BAD),
+    ("cli.py", "inner = run[len(quote):len(run) - len(quote)]", "inner = run", _BAD),
+    ("cli.py", " or _CUT_NUMBER.fullmatch(run):", ":", _LONG),
     # The integer options hand a value of any length to int(), read it
     # with its zeros counted, or drop its sign:
     ("cli.py", "    if len(digits) > _MAX_DIGITS:", "    if False:", _LONG),

@@ -551,6 +551,32 @@ class TestTrace:
         assert out.splitlines() == ["trace: segment 0 diverges from replay",
                                     "  recorded 1 events, replay produced 7"]
 
+    # The parsed comparison tells JSON types apart, where == takes true for 1
+    # and 1.0 for 1: a later event diverges, a cycle-0 one diverges or is
+    # refused by the rebuild.  The recorder writes none of them.
+    @pytest.mark.parametrize("line,old,new,status", [
+        (1, '"cycle":0,', '"cycle":false,', 2),
+        (1, '"cycle":0,', '"cycle":0.0,', 2),
+        (-1, '"match":1,', '"match":1.0,', 2),
+        (-1, '"match":1,', '"match":true,', 2),
+        (-1, '"cycle":10,', '"cycle":10.0,', 2),
+        (2, '"word":9,', '"word":9.0,', 1),
+        (2, '"l_m":0,', '"l_m":false,', 1),
+    ], ids=["cycle0-false", "cycle0-float", "match-float", "match-true", "cycle-float",
+            "cycle0-word-float", "cycle0-flag-false"])
+    def test_a_json_type_in_place_of_an_integer_never_matches(self, capsys, tmp_path,
+                                                             line, old, new, status):
+        path = tmp_path / "max.trace"
+        run_cli(capsys, "max", "--list", "9,1,5", "--trace-out", str(path))
+        lines = path.read_text().splitlines()
+        assert lines[line].count(old) == 1
+        lines[line] = lines[line].replace(old, new)
+        path.write_text("\n".join(lines) + "\n")
+        got, out, err = run_cli(capsys, "trace", str(path))
+        assert got == status and "replay matches" not in out
+        if status == 2:
+            assert out.startswith("trace: segment 0 diverges from replay\n"), out
+
 
 # Each value is just past its cap, or below 0 for --count, where the check
 # fires before anything is drawn or built; --sizes refuses a negative entry too.
@@ -610,6 +636,36 @@ def test_an_over_long_value_in_an_input_file_is_named(capsys, tmp_path):
 def test_zero_padded_numbers_are_accepted(capsys, argv, line):
     status, out, _ = run_cli(capsys, *argv)
     assert status == 0 and line.split() in map(str.split, out.splitlines()), out
+
+
+_BAD = "9" * 5000 + "x"  # a malformed token, and how a message shows it
+_BAD_SHOWN = "9" * 20 + "... (5001 characters)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("max", "--list", f"1,{_BAD}"),
+     f"line 1, column 3: '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]} is not a non-negative decimal integer"),
+    (("search", "--list", "1", "--key", _BAD),
+     f"argument --key: invalid int value: '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]}"),
+    (("bench", "--sizes", f"4,{_BAD}"),
+     f"--sizes entry '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]} is not a non-negative integer"),
+    (("bench", "--eta", _BAD),
+     f"argument --eta: invalid int value: '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]}"),
+    (("sort", "--list", "1", "--order", _BAD),
+     f"argument --order: invalid choice: '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]} "
+     "(choose from 'desc', 'asc')"),
+    (("max", "--list", "1", _BAD), f"unrecognized arguments: {_BAD_SHOWN}"),
+    ((_BAD,), f"argument command: invalid choice: '{_BAD_SHOWN[:20]}'{_BAD_SHOWN[20:]} "
+              "(choose from 'search', 'max', 'min', 'sort', 'info', 'trace', 'bench')"),
+    # A token with blanks, quotes and a line break is cut inside its repr.
+    (("sort", "--list", "1", "--order", f"it's \"a\"\n{_BAD}"),
+     "argument --order: invalid choice: 'it\\'s \"a\"\\n999999999'... (5012 characters) "
+     "(choose from 'desc', 'asc')"),
+], ids=["list", "key", "sizes", "bench-eta", "order", "unrecognized", "subcommand", "quoted"])
+def test_a_malformed_token_is_cut_to_one_short_line(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv,needle", [

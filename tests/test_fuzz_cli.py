@@ -58,7 +58,10 @@ def _scan(text, word_size):
             for match in re.finditer(r"[^\s,]+", line):
                 token, where = match.group(), f"line {lineno}, column {match.start() + 1}"
                 if not (token.isascii() and token.isdigit()):
-                    return f"{where}: {token!r} is not a non-negative decimal integer"
+                    shown = repr(token)  # past 20 characters, its first 20 and its length
+                    if len(token) > 20:
+                        shown = f"{token[:20]!r}... ({len(token)} characters)"
+                    return f"{where}: {shown} is not a non-negative decimal integer"
                 if int(token) >= limit:
                     value = str(int(token))  # past 20 digits, its first 20 and their count
                     if len(value) > 20:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cayley_imc
+from cayley_imc import algorithms, engine, node, planes
 from cayley_imc.algorithms import ExtremumResult, SearchResult, SortResult
 from cayley_imc.engine import Configuration
 from cayley_imc.node import NodeFlags
@@ -16,13 +17,31 @@ from cayley_imc.topology import TreeParams, build_topology
 
 
 def test_the_package_imports_no_dataclasses():
+    # Nor the spec: node and engine stay out of every run.
     # -S keeps site-packages' start-up hooks out of the count.
     src = str(Path(cayley_imc.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import cayley_imc, cayley_imc.cli; "
-            "print('dataclasses' in sys.modules)")
+            "print([m for m in ('dataclasses', 'cayley_imc.node', 'cayley_imc.engine') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
+
+
+def test_the_spec_re_exports_the_run_contract_of_planes():
+    assert node.Mode is engine.Mode is cayley_imc.Mode is planes.Mode
+    assert engine.ProtocolError is cayley_imc.ProtocolError is planes.ProtocolError
+    assert engine.QuiescenceError is cayley_imc.QuiescenceError is planes.QuiescenceError
+    assert engine.default_cycle_budget is planes.default_cycle_budget
+
+
+def test_algorithms_answers_only_the_tracer_s_name_lazily():
+    # perfbench/tracing.py wraps algorithms.run_until_quiescent, and finds a
+    # module's functions by hasattr: the hook answers that one name only.
+    assert algorithms.run_until_quiescent is engine.run_until_quiescent
+    assert not hasattr(algorithms, "reset_configuration")
+    with pytest.raises(AttributeError, match="has no attribute 'snapshot'"):
+        algorithms.snapshot
 
 
 _PARAMS = TreeParams(2, 3, 8)
